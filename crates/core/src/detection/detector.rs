@@ -82,11 +82,27 @@ impl GroupDetector {
         forward_graph_parts(&self.stack, &self.out, g, subgroups)
     }
 
-    /// The flat probability distribution over one group, as values.
+    /// The flat probability distribution over one group, as values, on the
+    /// tape-free inference path: all subgroups run through the stacked
+    /// BiLSTM as one ragged batch, reading the weights in place. Each
+    /// subgroup is still its own sequence, so the result is bit-identical to
+    /// [`Self::forward_graph`].
+    ///
+    /// # Panics
+    /// Panics if the group or any subgroup is empty.
     pub fn probabilities(&self, subgroups: &[Vec<&Matrix>]) -> Vec<f32> {
-        let mut g = Graph::new(&self.params);
-        let p = self.forward_graph(&mut g, subgroups);
-        g.value(p).data().to_vec()
+        assert!(!subgroups.is_empty(), "empty group");
+        assert!(subgroups.iter().all(|s| !s.is_empty()), "empty subgroup");
+        let rows: Vec<&Matrix> = subgroups.iter().flatten().copied().collect();
+        let lens: Vec<usize> = subgroups.iter().map(Vec::len).collect();
+        let hs = self
+            .stack
+            .infer(&self.params, &Matrix::concat_rows(&rows), &lens);
+        let logits = self.out.infer(&self.params, &hs);
+        Matrix::from_vec(1, logits.rows(), logits.data().to_vec())
+            .softmax_rows()
+            .data()
+            .to_vec()
     }
 
     /// Trains against ε-smoothed labels with the KLD loss (Equations
@@ -383,6 +399,53 @@ mod tests {
             .unwrap()
             .0];
         assert_eq!(best, truth, "probs {p:?}");
+    }
+
+    #[test]
+    fn probabilities_match_the_tape_bit_for_bit() {
+        // The batched inference path against `forward_graph` on both group
+        // shapes: forward subgroups shrink (n−1, …, 1 members), backward
+        // subgroups grow (1, …, n−1).
+        let c = cfg();
+        let mut rng = StdRng::seed_from_u64(19);
+        let det = GroupDetector::new(&c, 8, &mut rng);
+        for n in 2..=14 {
+            let groups = build_groups(n);
+            for side in [&groups.forward, &groups.backward] {
+                let cvecs: Vec<Vec<Matrix>> = side
+                    .iter()
+                    .map(|sub| {
+                        sub.iter()
+                            .map(|cand| {
+                                Matrix::from_fn(1, 8, |_, k| {
+                                    ((cand.start_sp * 13 + cand.end_sp * 5 + k) as f32 * 0.37).sin()
+                                })
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let refs: Vec<Vec<&Matrix>> = cvecs.iter().map(|s| s.iter().collect()).collect();
+                let mut g = Graph::new(det.params());
+                let p = det.forward_graph(&mut g, &refs);
+                let want: Vec<u32> = g.value(p).data().iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u32> = det
+                    .probabilities(&refs)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, want, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty subgroup")]
+    fn empty_subgroup_rejected() {
+        let c = cfg();
+        let mut rng = StdRng::seed_from_u64(23);
+        let det = GroupDetector::new(&c, 4, &mut rng);
+        let m = Matrix::zeros(1, 4);
+        let _ = det.probabilities(&[vec![&m], vec![]]);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use lead_nn::optim::Adam;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::Rng;
+use std::collections::BTreeMap;
 
 /// Which encoder architecture to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,24 +376,46 @@ impl Autoencoder {
         g.value(v).clone()
     }
 
-    /// Encodes every candidate of a trajectory, sharing the phase-1
-    /// compression of each stay/move point across candidates.
+    /// Encodes every candidate of a trajectory on the tape-free inference
+    /// path, sharing work across candidates. The result for each candidate
+    /// is bit-identical to [`Self::encode_value`].
     ///
-    /// The hierarchy makes this exact: a candidate's `c-vec` depends on its
-    /// stay/move points only through their phase-1 vectors, which are
-    /// identical across candidates. The flat variant has no such structure
-    /// and falls back to per-candidate encoding.
+    /// Two structures make the sharing exact:
+    /// - a candidate's `c-vec` depends on its stay/move points only through
+    ///   their phase-1 vectors, so phase 1 runs once, all stay sequences as
+    ///   one batch and all move sequences as another;
+    /// - the phase-2 LSTMs read left to right, so the candidates starting at
+    ///   stay point `i` are prefixes of one run over `sp_vals[i..]` and
+    ///   `mp_vals[i..]`. Each start runs once; the attention, FC layers and
+    ///   `tanh` then run per candidate over its prefix. The flat variant's
+    ///   interleaved sequence of `(i, j + 1)` extends that of `(i, j)` the
+    ///   same way.
     ///
-    /// Phase 1 runs once; the per-candidate phase-2 passes run on
-    /// `num_threads` workers (0 = all cores). Results are returned in
-    /// candidate order and are bit-identical for every thread count.
+    /// Starts run on `num_threads` workers (0 = all cores). Results are
+    /// returned in candidate order and are bit-identical for every thread
+    /// count.
     pub fn encode_all(
         &self,
         tf: &TrajectoryFeatures,
         candidates: &[Candidate],
         num_threads: usize,
     ) -> Vec<Matrix> {
-        match &self.arch {
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        let ps = &self.params;
+        // Candidate indexes grouped by start, each group in candidate order.
+        let mut by_start: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (k, c) in candidates.iter().enumerate() {
+            by_start.entry(c.start_sp).or_default().push(k);
+        }
+        let end_of = |k: &usize| candidates[*k].end_sp;
+        // (start, farthest end, candidate indexes) per start stay point.
+        let groups: Vec<(usize, usize, Vec<usize>)> = by_start
+            .into_iter()
+            .map(|(i, ks)| (i, ks.iter().map(end_of).max().unwrap_or(i + 1), ks))
+            .collect();
+        let per_start: Vec<Matrix> = match &self.arch {
             Arch::Hierarchical {
                 comp_sp1,
                 comp_mp1,
@@ -400,46 +423,42 @@ impl Autoencoder {
                 comp_mp2,
                 ..
             } => {
-                // Phase 1 once, keeping only the values: candidates need the
-                // phase-1 vectors, not their tape nodes.
-                let mut g = Graph::new(&self.params);
-                let sp_vals: Vec<Matrix> = tf
-                    .sp_seqs
-                    .iter()
-                    .map(|m| {
-                        let v = comp_sp1.compress_matrix(&mut g, m);
-                        g.value(v).clone()
-                    })
-                    .collect();
-                let mp_vals: Vec<Matrix> = tf
-                    .mp_seqs
-                    .iter()
-                    .map(|m| {
-                        let v = comp_mp1.compress_matrix(&mut g, m);
-                        g.value(v).clone()
-                    })
-                    .collect();
-                drop(g);
-                lead_nn::par::par_map(num_threads, candidates, |_, c| {
-                    let mut g = Graph::new(&self.params);
-                    let sp_vecs: Vec<Var> = sp_vals[c.start_sp..=c.end_sp]
-                        .iter()
-                        .map(|m| g.constant(m.clone()))
-                        .collect();
-                    let mp_vecs: Vec<Var> = mp_vals[c.start_sp..c.end_sp]
-                        .iter()
-                        .map(|m| g.constant(m.clone()))
-                        .collect();
-                    let sp_c = comp_sp2.compress_vars(&mut g, &sp_vecs);
-                    let mp_c = comp_mp2.compress_vars(&mut g, &mp_vecs);
-                    let v = g.concat_cols(&[sp_c, mp_c]);
-                    g.value(v).clone()
+                let sp_vals = comp_sp1.infer_batch(ps, &tf.sp_seqs);
+                let mp_vals = comp_mp1.infer_batch(ps, &tf.mp_seqs);
+                lead_nn::par::par_map(num_threads, &groups, |_, &(i, last, ref ks)| {
+                    let sp_lens: Vec<usize> = ks.iter().map(|k| end_of(k) - i + 1).collect();
+                    let mp_lens: Vec<usize> = ks.iter().map(|k| end_of(k) - i).collect();
+                    let sp =
+                        comp_sp2.infer_prefixes(ps, &sp_vals.slice_rows(i, last + 1), &sp_lens);
+                    let mp = comp_mp2.infer_prefixes(ps, &mp_vals.slice_rows(i, last), &mp_lens);
+                    Matrix::concat_cols(&[&sp, &mp])
                 })
             }
-            Arch::Flat { .. } => lead_nn::par::par_map(num_threads, candidates, |_, &c| {
-                self.encode_value(&tf.candidate(c))
-            }),
-        }
+            Arch::Flat { comp, .. } => {
+                lead_nn::par::par_map(num_threads, &groups, |_, &(i, last, ref ks)| {
+                    // Rows of the interleaved sequence up to and including sp_j.
+                    let rows_through = |j: usize| -> usize {
+                        let sp: usize = tf.sp_seqs[i..=j].iter().map(Matrix::rows).sum();
+                        let mp: usize = tf.mp_seqs[i..j].iter().map(Matrix::rows).sum();
+                        sp + mp
+                    };
+                    let lens: Vec<usize> = ks.iter().map(|k| rows_through(end_of(k))).collect();
+                    let seq = tf.candidate(Candidate::new(i, last)).interleaved();
+                    comp.infer_prefixes(ps, &seq, &lens)
+                })
+            }
+        };
+        let mut out: Vec<(usize, Matrix)> = groups
+            .iter()
+            .zip(&per_start)
+            .flat_map(|((_, _, ks), rows)| {
+                ks.iter()
+                    .enumerate()
+                    .map(move |(r, &k)| (k, rows.slice_rows(r, r + 1)))
+            })
+            .collect();
+        out.sort_by_key(|&(k, _)| k);
+        out.into_iter().map(|(_, c_vec)| c_vec).collect()
     }
 }
 
@@ -509,30 +528,77 @@ mod tests {
         assert!(last < first, "loss should fall: {curve:?}");
     }
 
+    /// A trajectory of `n` stay points whose stay and move sequences have
+    /// ragged lengths (2–5 and 1–3 rows), so phase-1 batches are ragged too.
+    fn toy_trajectory(seed: u64, n: usize) -> TrajectoryFeatures {
+        let mut v = seed as f32 * 0.01;
+        let mut next = || {
+            v = (v * 1.7 + 0.31).sin() * 0.8;
+            v
+        };
+        let sp_seqs = (0..n)
+            .map(|k| Matrix::from_fn(2 + k % 4, FEATURE_DIM, |_, _| next()))
+            .collect();
+        let mp_seqs = (0..n - 1)
+            .map(|k| Matrix::from_fn(1 + k % 3, FEATURE_DIM, |_, _| next()))
+            .collect();
+        TrajectoryFeatures { sp_seqs, mp_seqs }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn encode_all_matches_per_candidate_encoding() {
+        // The inference path shares phase 1 and the phase-2 prefixes across
+        // candidates; every c-vec must still be the tape's, bit for bit, for
+        // both architectures with and without attention.
         let cfg = small_cfg();
         let mut rng = StdRng::seed_from_u64(4);
+        for kind in [EncoderKind::Hierarchical, EncoderKind::Flat] {
+            for use_attention in [true, false] {
+                let ae = Autoencoder::new(&cfg, kind, use_attention, &mut rng);
+                for n in 2..=14 {
+                    let tf = toy_trajectory(7 + n as u64, n);
+                    let candidates = crate::processing::enumerate_candidates(n);
+                    let cached = ae.encode_all(&tf, &candidates, 1);
+                    for threads in [2, 4] {
+                        let par = ae.encode_all(&tf, &candidates, threads);
+                        for (a, b) in cached.iter().zip(par.iter()) {
+                            assert_eq!(bits(a), bits(b), "threads={threads}");
+                        }
+                    }
+                    for (c, cv) in candidates.iter().zip(cached.iter()) {
+                        let direct = ae.encode_value(&tf.candidate(*c));
+                        assert_eq!(
+                            bits(cv),
+                            bits(&direct),
+                            "{kind:?} attention={use_attention} n={n} {c:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_all_serves_any_candidate_subset_in_order() {
+        let cfg = small_cfg();
+        let mut rng = StdRng::seed_from_u64(8);
         let ae = Autoencoder::new(&cfg, EncoderKind::Hierarchical, true, &mut rng);
-        let cf = toy_candidate(7, 4);
-        let tf = TrajectoryFeatures {
-            sp_seqs: cf.sp_seqs.clone(),
-            mp_seqs: cf.mp_seqs.clone(),
-        };
-        let candidates = crate::processing::enumerate_candidates(4);
-        let cached = ae.encode_all(&tf, &candidates, 1);
-        for threads in [2, 4] {
-            let par = ae.encode_all(&tf, &candidates, threads);
-            for (a, b) in cached.iter().zip(par.iter()) {
-                assert_eq!(a.data(), b.data(), "threads={threads}");
-            }
+        let tf = toy_trajectory(3, 6);
+        let subset = [
+            Candidate::new(3, 5),
+            Candidate::new(0, 2),
+            Candidate::new(3, 4),
+            Candidate::new(1, 5),
+        ];
+        let got = ae.encode_all(&tf, &subset, 1);
+        for (c, cv) in subset.iter().zip(&got) {
+            assert_eq!(bits(cv), bits(&ae.encode_value(&tf.candidate(*c))));
         }
-        for (c, cv) in candidates.iter().zip(cached.iter()) {
-            let direct = ae.encode_value(&tf.candidate(*c));
-            for (a, b) in cv.data().iter().zip(direct.data().iter()) {
-                assert!((a - b).abs() < 1e-5, "cache mismatch for {c:?}");
-            }
-        }
+        assert!(ae.encode_all(&tf, &[], 1).is_empty());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use lead_nn::layers::{Linear, Lstm, SelfAttention};
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::Rng;
+use std::ops::Range;
 
 /// LSTM + (optional) self-attention + 2 FC + `tanh`: sequence → vector.
 #[derive(Debug, Clone)]
@@ -78,6 +79,72 @@ impl CompressionOperator {
         let input = g.constant(seq.clone());
         let xs: Vec<Var> = (0..seq.rows()).map(|r| g.row(input, r)).collect();
         self.compress_vars(g, &xs)
+    }
+
+    /// Tape-free compression of every sequence in `seqs` as one ragged
+    /// batch; row `s` of the result is the value [`Self::compress_matrix`]
+    /// gives `seqs[s]`.
+    ///
+    /// # Panics
+    /// Panics if `seqs` is empty or holds an empty sequence.
+    pub fn infer_batch(&self, ps: &ParamSet, seqs: &[Matrix]) -> Matrix {
+        let refs: Vec<&Matrix> = seqs.iter().collect();
+        let lens: Vec<usize> = seqs.iter().map(Matrix::rows).collect();
+        let mut windows = Vec::with_capacity(seqs.len());
+        let mut start = 0;
+        for &l in &lens {
+            windows.push(start..start + l);
+            start += l;
+        }
+        self.infer_windows(ps, &Matrix::concat_rows(&refs), &lens, &windows)
+    }
+
+    /// Tape-free compression of prefixes of one sequence: row `r` of the
+    /// result is the value [`Self::compress_matrix`] gives the first
+    /// `prefix_lens[r]` rows of `seq`.
+    ///
+    /// The LSTM reads left to right, so every prefix's hidden states are the
+    /// first rows of one run over `seq`, and so are its attention keys. Only
+    /// the query, the softmax, the FC layers and `tanh` are per prefix.
+    ///
+    /// # Panics
+    /// Panics if a prefix length is 0 or exceeds `seq.rows()`.
+    pub fn infer_prefixes(&self, ps: &ParamSet, seq: &Matrix, prefix_lens: &[usize]) -> Matrix {
+        let windows: Vec<Range<usize>> = prefix_lens.iter().map(|&l| 0..l).collect();
+        self.infer_windows(ps, seq, &[seq.rows()], &windows)
+    }
+
+    /// Runs the LSTM over the ragged batch `xs`/`lens` once, then compresses
+    /// each window of its hidden-state rows (a window lies within one
+    /// sequence and ends where the compressed sequence ends).
+    fn infer_windows(
+        &self,
+        ps: &ParamSet,
+        xs: &Matrix,
+        lens: &[usize],
+        windows: &[Range<usize>],
+    ) -> Matrix {
+        assert!(
+            windows.iter().all(|w| !w.is_empty()),
+            "compression of an empty sequence"
+        );
+        let hs = self.lstm.infer(ps, xs, lens);
+        let aggregated: Vec<Matrix> = match &self.attention {
+            Some(att) => {
+                let keys = att.infer_keys(ps, &hs);
+                windows
+                    .iter()
+                    .map(|w| att.infer_aggregate(ps, &hs, &keys, w.clone()))
+                    .collect()
+            }
+            None => windows
+                .iter()
+                .map(|w| hs.slice_rows(w.end - 1, w.end))
+                .collect(),
+        };
+        let refs: Vec<&Matrix> = aggregated.iter().collect();
+        let a = self.fc1.infer(ps, &Matrix::concat_rows(&refs));
+        self.fc2.infer(ps, &a).tanh()
     }
 }
 

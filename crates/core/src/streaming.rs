@@ -149,6 +149,9 @@ impl IncrementalStayExtractor {
 pub struct StreamUpdate {
     /// The point was rejected by the speed-based noise filter.
     pub filtered_out: bool,
+    /// The point was dropped because its time is not after the last kept
+    /// point's (a repeated or late GPS packet); the stream is unchanged.
+    pub out_of_order: bool,
     /// Indexes of stay points that *completed* with this push (usually empty
     /// or one; see [`IncrementalStayExtractor::on_point_appended`]).
     pub completed_stays: Vec<usize>,
@@ -178,7 +181,8 @@ impl<'m, 'p> StreamingDetector<'m, 'p> {
 
     /// [`Self::new`] with an observability probe: records
     /// `stream.points_in` / `stream.points_filtered` /
-    /// `stream.stays_completed` / `stream.rescores` counters as the stream
+    /// `stream.points_out_of_order` / `stream.stays_completed` /
+    /// `stream.rescores` counters as the stream
     /// advances. Metrics are write-only — updates and detections are
     /// identical for any probe.
     pub fn with_probe(model: &'m Lead, poi_db: &'p PoiDatabase, probe: &'p dyn Probe) -> Self {
@@ -208,22 +212,31 @@ impl<'m, 'p> StreamingDetector<'m, 'p> {
 
     /// Pushes one GPS point.
     ///
-    /// # Panics
-    /// Panics if `p` is not strictly later than the previous accepted point.
+    /// A point whose time is not strictly after the last kept point's (a
+    /// repeated or late packet) is dropped and reported as
+    /// [`StreamUpdate::out_of_order`]; the stream carries on as if it never
+    /// arrived.
     pub fn push(&mut self, p: GpsPoint) -> StreamUpdate {
         let probing = self.probe.enabled();
         if probing {
             self.probe.count("stream.points_in", 1);
         }
-        // Incremental noise filter: judge against the last kept point.
+        // Late or repeated packets first, then the incremental noise filter;
+        // both judge against the last kept point.
         if let Some(last) = self.points.last() {
-            assert!(p.t > last.t, "stream must be chronological");
-            if last.speed_to_mps(&p) > self.v_max_mps {
+            let out_of_order = p.t <= last.t;
+            if out_of_order || last.speed_to_mps(&p) > self.v_max_mps {
                 if probing {
-                    self.probe.count("stream.points_filtered", 1);
+                    let metric = if out_of_order {
+                        "stream.points_out_of_order"
+                    } else {
+                        "stream.points_filtered"
+                    };
+                    self.probe.count(metric, 1);
                 }
                 return StreamUpdate {
-                    filtered_out: true,
+                    filtered_out: !out_of_order,
+                    out_of_order,
                     completed_stays: Vec::new(),
                     hypothesis: None,
                 };
@@ -246,6 +259,7 @@ impl<'m, 'p> StreamingDetector<'m, 'p> {
         };
         StreamUpdate {
             filtered_out: false,
+            out_of_order: false,
             completed_stays,
             hypothesis,
         }
@@ -472,11 +486,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "chronological")]
-    fn non_chronological_push_panics() {
+    fn repeated_and_late_fixes_are_dropped_without_changing_the_result() {
         let (model, db) = dummy_model();
+        let clean = demo_points();
+        // A repeated packet inside a dwell, one inside a drive, and a late
+        // packet (an earlier timestamp at a far-away spot) after them.
+        let mut noisy = clean.clone();
+        noisy.insert(21, clean[20]);
+        noisy.insert(12, clean[11]);
+        noisy.insert(17, GpsPoint::new(32.3, 121.4, clean[8].t));
+
         let mut stream = StreamingDetector::new(&model, &db);
-        stream.push(GpsPoint::new(32.0, 120.9, 100));
-        stream.push(GpsPoint::new(32.0, 120.9, 50));
+        let mut dropped = 0;
+        for &p in &noisy {
+            let u = stream.push(p);
+            if u.out_of_order {
+                assert!(!u.filtered_out && u.completed_stays.is_empty());
+                assert!(u.hypothesis.is_none());
+                dropped += 1;
+            }
+        }
+        assert_eq!(dropped, 3);
+        let got = stream.finish().expect("three stays → detectable");
+
+        let mut stream = StreamingDetector::new(&model, &db);
+        for &p in &clean {
+            assert!(!stream.push(p).out_of_order);
+        }
+        let want = stream.finish().expect("three stays → detectable");
+        assert_eq!(
+            got.processed.cleaned.points(),
+            want.processed.cleaned.points()
+        );
+        assert_eq!(got.processed.stay_points, want.processed.stay_points);
+        assert_eq!(got.detected, want.detected);
+        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.probabilities), bits(&want.probabilities));
     }
 }

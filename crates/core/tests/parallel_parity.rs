@@ -5,7 +5,8 @@
 //! gradients in item order, encoding/detection map candidates in index
 //! order. These tests pin that contract end to end — training curves,
 //! detection probabilities, and detected candidates must match the serial
-//! path exactly, not approximately.
+//! path exactly, not approximately. A golden hash also pins the fixture's
+//! trained bytes and detections across commits.
 
 use lead_core::config::LeadConfig;
 use lead_core::pipeline::{DetectOptions, DetectionResult, Lead, LeadOptions, TrainSample};
@@ -283,4 +284,67 @@ proptest! {
             prop_assert!(serial.is_none(), "fewer than two stays admit no candidate");
         }
     }
+}
+
+/// The hash `fitted_models_and_detections_match_the_golden_hash` recorded
+/// before the tape-free inference path existed.
+const GOLDEN: u64 = 0xc0f1_40f4_bc5a_452d;
+
+/// FNV-1a over little-endian bytes.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Cross-commit golden pin. Every other test here compares runs of one
+/// build with each other, so a change that moves all of them the same way
+/// passes. This one hashes the serialised model bytes, every loss-curve bit
+/// and every detection-probability bit of the fixture, under the variants
+/// whose inference paths differ, against a constant recorded from an
+/// earlier tree. A mismatch means trained bytes or detections changed:
+/// audit the change, do not just update the constant.
+#[test]
+fn fitted_models_and_detections_match_the_golden_hash() {
+    let (train, val) = train_val_sets();
+    let db = poi_db();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let floats = |h: u64, xs: &[f32]| {
+        let h = fnv(h, &(xs.len() as u64).to_le_bytes());
+        xs.iter().fold(h, |h, x| fnv(h, &x.to_bits().to_le_bytes()))
+    };
+    for options in [
+        LeadOptions::full(),
+        LeadOptions::no_sel(),
+        LeadOptions::no_hie(),
+    ] {
+        let (model, report) =
+            Lead::fit_with_val(&train, &val, &db, &LeadConfig::fast_test(), options).expect("fit");
+        let mut bytes = Vec::new();
+        model
+            .write_to(&mut bytes)
+            .expect("serializing to memory cannot fail");
+        h = fnv(h, &bytes);
+        for curve in [
+            &report.ae_curve,
+            &report.ae_val_curve,
+            &report.forward_kld_curve,
+            &report.backward_kld_curve,
+            &report.forward_val_kld_curve,
+            &report.backward_val_kld_curve,
+        ] {
+            h = floats(h, curve);
+        }
+        for blocks in 3..=7 {
+            let (day, _) = synthetic_day(blocks, 9 + blocks as u64);
+            let d = model.detect(&day, &db).expect("detectable day");
+            h = floats(h, &d.probabilities);
+            h = fnv(h, &(d.detected.start_sp as u64).to_le_bytes());
+            h = fnv(h, &(d.detected.end_sp as u64).to_le_bytes());
+        }
+    }
+    assert_eq!(
+        h, GOLDEN,
+        "golden drift: got {h:#018x}, pinned {GOLDEN:#018x}"
+    );
 }

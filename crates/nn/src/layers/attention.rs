@@ -8,9 +8,11 @@
 //! feature sequences.
 
 use crate::init::xavier_uniform;
+use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
 use crate::tape::{Graph, Var};
 use rand::Rng;
+use std::ops::Range;
 
 /// Last-hidden-query self-attention over a hidden-state sequence.
 #[derive(Debug, Clone)]
@@ -34,15 +36,9 @@ impl SelfAttention {
         key_dim: usize,
     ) -> Self {
         let wq = ps.register(format!("{name}.wq"), xavier_uniform(rng, hidden, key_dim));
-        let bq = ps.register(
-            format!("{name}.bq"),
-            crate::matrix::Matrix::zeros(1, key_dim),
-        );
+        let bq = ps.register(format!("{name}.bq"), Matrix::zeros(1, key_dim));
         let wk = ps.register(format!("{name}.wk"), xavier_uniform(rng, hidden, key_dim));
-        let bk = ps.register(
-            format!("{name}.bk"),
-            crate::matrix::Matrix::zeros(1, key_dim),
-        );
+        let bk = ps.register(format!("{name}.bk"), Matrix::zeros(1, key_dim));
         Self {
             wq,
             bq,
@@ -89,6 +85,39 @@ impl SelfAttention {
         g.matmul(s, h_mat) // 1 × hidden
     }
 
+    /// Tape-free keys `H·Wk + bk` of every row of `h`. Each key depends only
+    /// on its own row, so a window of rows can reuse the keys of a longer
+    /// run that contains it.
+    pub fn infer_keys(&self, ps: &ParamSet, h: &Matrix) -> Matrix {
+        h.matmul(ps.value(self.wk))
+            .add_row_broadcast(ps.value(self.bk))
+    }
+
+    /// Tape-free [`Self::aggregate`] over rows `rows` of `h`, given
+    /// `keys = self.infer_keys(ps, h)`: the window's last row forms the
+    /// query, and the same kernels run on the same values as on the tape.
+    ///
+    /// # Panics
+    /// Panics if `rows` is empty or out of range.
+    pub fn infer_aggregate(
+        &self,
+        ps: &ParamSet,
+        h: &Matrix,
+        keys: &Matrix,
+        rows: Range<usize>,
+    ) -> Matrix {
+        assert!(!rows.is_empty(), "attention over an empty sequence");
+        let window = h.slice_rows(rows.start, rows.end);
+        let last = Matrix::row_vector(h.row(rows.end - 1).to_vec());
+        let q = last
+            .matmul(ps.value(self.wq))
+            .add_row_broadcast(ps.value(self.bq));
+        let scores = q
+            .matmul_bt(&keys.slice_rows(rows.start, rows.end))
+            .scale(1.0 / crate::num::exact_usize_f32(self.key_dim).sqrt());
+        scores.softmax_rows().matmul(&window)
+    }
+
     /// The attention distribution over steps (for diagnostics/tests).
     pub fn weights(&self, g: &mut Graph, hs: &[Var]) -> Var {
         assert!(!hs.is_empty(), "attention over an empty sequence");
@@ -115,7 +144,6 @@ impl SelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
     use crate::testing::gradcheck;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -2,6 +2,7 @@
 //! Section V-B).
 
 use crate::layers::{Linear, Lstm};
+use crate::matrix::Matrix;
 use crate::params::ParamSet;
 use crate::tape::{Graph, Var};
 use rand::Rng;
@@ -68,6 +69,15 @@ impl BiLstm {
             })
             .collect()
     }
+
+    /// Tape-free [`Self::forward`] over a ragged batch packed as in
+    /// [`Lstm::infer`]. Both directions step every sequence together, and
+    /// the merge runs as one product over all rows.
+    pub fn infer(&self, ps: &ParamSet, xs: &Matrix, lens: &[usize]) -> Matrix {
+        let hf = self.fwd.infer_dir(ps, xs, lens, false);
+        let hb = self.bwd.infer_dir(ps, xs, lens, true);
+        self.merge.infer(ps, &Matrix::concat_cols(&[&hf, &hb]))
+    }
 }
 
 /// A stack of [`BiLstm`] layers (the paper uses `L = 4`), each consuming the
@@ -120,12 +130,21 @@ impl StackedBiLstm {
         }
         seq
     }
+
+    /// Tape-free [`Self::forward`] over a ragged batch packed as in
+    /// [`Lstm::infer`]: every layer runs all sequences at once.
+    pub fn infer(&self, ps: &ParamSet, xs: &Matrix, lens: &[usize]) -> Matrix {
+        let mut seq = xs.clone();
+        for layer in &self.layers {
+            seq = layer.infer(ps, &seq, lens);
+        }
+        seq
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -58,6 +58,13 @@ impl Linear {
         let xw = g.matmul(x, w);
         g.add_row_broadcast(xw, b)
     }
+
+    /// Tape-free [`Self::forward`]: the same kernels on the same values,
+    /// reading the weights from `ps` in place.
+    pub fn infer(&self, ps: &ParamSet, x: &Matrix) -> Matrix {
+        x.matmul(ps.value(self.w))
+            .add_row_broadcast(ps.value(self.b))
+    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
+use crate::simd::{self, Kernel};
 use crate::tape::{Graph, Var};
 use rand::Rng;
 
@@ -144,6 +145,99 @@ impl Lstm {
             hs.push(h);
         }
         hs
+    }
+
+    /// Tape-free inference over a ragged batch: `xs` packs the sequences'
+    /// rows back to back (sequence `s` has `lens[s]` rows) and the result
+    /// packs their hidden states the same way. Bit-identical to
+    /// [`Self::forward`] on each sequence alone; see [`Self::infer_dir`].
+    ///
+    /// # Panics
+    /// Panics if any sequence is empty or `xs` does not hold `Σ lens` rows.
+    pub fn infer(&self, ps: &ParamSet, xs: &Matrix, lens: &[usize]) -> Matrix {
+        self.infer_dir(ps, xs, lens, false)
+    }
+
+    /// [`Self::infer`] reading each sequence left to right, or right to left
+    /// when `reverse` (the backward half of a BiLSTM; hidden states still land
+    /// on their input's row).
+    ///
+    /// The input projection `x·Wx` runs as one product over every row. Step
+    /// `t` then advances every sequence longer than `t` as one B-row step:
+    /// one `h·Wh` product, the gate kernels and the cell update. Every kernel
+    /// treats each row on its own (pinned in `tests/proptest_simd.rs`), and
+    /// each row sees the tape's operations in the tape's order, so each
+    /// sequence gets the bits [`Self::forward`] gives it.
+    pub(crate) fn infer_dir(
+        &self,
+        ps: &ParamSet,
+        xs: &Matrix,
+        lens: &[usize],
+        reverse: bool,
+    ) -> Matrix {
+        assert!(lens.iter().all(|&l| l > 0), "LSTM over an empty sequence");
+        let mut starts = Vec::with_capacity(lens.len());
+        let mut total = 0;
+        for &l in lens {
+            starts.push(total);
+            total += l;
+        }
+        assert_eq!(xs.rows(), total, "packed rows must match the lengths");
+        let hsz = self.hidden;
+        let width = 4 * hsz;
+        let kernel = simd::active();
+        let wh = ps.value(self.wh).data();
+        let bias = ps.value(self.b).data();
+        let gx = xs.matmul(ps.value(self.wx));
+        // Longest first, so the sequences still running at step `t` are a
+        // prefix of `order` and their states stay in place as others end.
+        let mut order: Vec<usize> = (0..lens.len()).collect();
+        order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
+        let row_at = |s: usize, t: usize| starts[s] + if reverse { lens[s] - 1 - t } else { t };
+        let batch = order.len();
+        let (mut h, mut c) = (vec![0.0; batch * hsz], vec![0.0; batch * hsz]);
+        let (mut gh, mut pre) = (vec![0.0; batch * width], vec![0.0; width]);
+        // Per-row gate activations `[i | f | g | o]` and cell-update scratch.
+        let (mut ifgo, mut tmp) = (vec![0.0; 4 * batch * hsz], vec![0.0; 3 * batch * hsz]);
+        let mut out = Matrix::zeros(total, hsz);
+        let mut active = batch;
+        for t in 0..lens.iter().copied().max().unwrap_or(0) {
+            while lens[order[active - 1]] <= t {
+                active -= 1;
+            }
+            let n = active * hsz;
+            let gh = &mut gh[..active * width];
+            gh.fill(0.0);
+            kernel.matmul_acc(&h[..n], wh, gh, active, hsz, width);
+            let (i, rest) = ifgo.split_at_mut(batch * hsz);
+            let (f, rest) = rest.split_at_mut(batch * hsz);
+            let (g, o) = rest.split_at_mut(batch * hsz);
+            for (r, &s) in order[..active].iter().enumerate() {
+                kernel.add(
+                    gx.row(row_at(s, t)),
+                    &gh[r * width..(r + 1) * width],
+                    &mut pre,
+                );
+                let cols = r * hsz..(r + 1) * hsz;
+                let part = |q: usize| q * hsz..(q + 1) * hsz;
+                kernel.sigmoid_gate(&pre[part(0)], &bias[part(0)], &mut i[cols.clone()]);
+                kernel.sigmoid_gate(&pre[part(1)], &bias[part(1)], &mut f[cols.clone()]);
+                kernel.tanh_gate(&pre[part(2)], &bias[part(2)], &mut g[cols.clone()]);
+                kernel.sigmoid_gate(&pre[part(3)], &bias[part(3)], &mut o[cols]);
+            }
+            let (fc, rest) = tmp.split_at_mut(batch * hsz);
+            let (ig, c_act) = rest.split_at_mut(batch * hsz);
+            kernel.mul(&f[..n], &c[..n], &mut fc[..n]);
+            kernel.mul(&i[..n], &g[..n], &mut ig[..n]);
+            kernel.add(&fc[..n], &ig[..n], &mut c[..n]);
+            kernel.tanh(&c[..n], &mut c_act[..n]);
+            kernel.mul(&o[..n], &c_act[..n], &mut h[..n]);
+            for (r, &s) in order[..active].iter().enumerate() {
+                out.row_mut(row_at(s, t))
+                    .copy_from_slice(&h[r * hsz..(r + 1) * hsz]);
+            }
+        }
+        out
     }
 
     /// Runs the recurrence feeding the *same* input vector at every one of

@@ -74,6 +74,12 @@ fn wild_f32() -> impl Strategy<Value = f32> {
     prop::num::f32::NORMAL | prop::num::f32::ZERO | prop::num::f32::SUBNORMAL
 }
 
+/// A named two-input elementwise kernel call, `out = f(a, b)`.
+type BinaryKernel = (&'static str, fn(&dyn Kernel, &[f32], &[f32], &mut [f32]));
+
+/// A named one-input elementwise kernel call, `out = f(a)`.
+type UnaryKernel = (&'static str, fn(&dyn Kernel, &[f32], &mut [f32]));
+
 /// `base^n` by sequential multiplication. `powi` is avoided on purpose: its
 /// release-mode constant folding and debug-mode runtime lowering can round
 /// differently, which would make the pinned fingerprints build-mode
@@ -133,7 +139,7 @@ fn first_divergence(k: &dyn Kernel, a: &[f32], b: &[f32], coef: f32) -> Option<&
             return Some("axpy");
         }
     }
-    let binary: [(&'static str, fn(&dyn Kernel, &[f32], &[f32], &mut [f32])); 7] = [
+    let binary: [BinaryKernel; 7] = [
         ("add", |k, a, b, o| k.add(a, b, o)),
         ("sub", |k, a, b, o| k.sub(a, b, o)),
         ("mul", |k, a, b, o| k.mul(a, b, o)),
@@ -160,7 +166,7 @@ fn first_divergence(k: &dyn Kernel, a: &[f32], b: &[f32], coef: f32) -> Option<&
             return Some("scale");
         }
     }
-    let unary: [(&'static str, fn(&dyn Kernel, &[f32], &mut [f32])); 2] = [
+    let unary: [UnaryKernel; 2] = [
         ("sigmoid", |k, a, o| k.sigmoid(a, o)),
         ("tanh", |k, a, o| k.tanh(a, o)),
     ];
@@ -261,6 +267,76 @@ proptest! {
             let d = first_divergence(&backend, &zeros[..n], &denorms[..n], 0.5);
             prop_assert!(d.is_none(), "backend `{}` diverged in `{}`",
                 backend.name(), d.unwrap_or("?"));
+        }
+    }
+
+    // The batched inference path runs every sequence still active at a step
+    // as one B-row product and one B-row elementwise pass; it matches the
+    // per-sequence tape bit for bit only because every kernel treats each
+    // row on its own. These two properties pin that precondition.
+
+    #[test]
+    fn matmul_acc_rows_are_independent_on_every_backend(
+        dims in (1..9usize, 0..70usize, 0..140usize),
+        a in prop::collection::vec(wild_f32(), 8 * 69),
+        seed in any::<u64>(),
+    ) {
+        let (m, kk, n) = dims;
+        let b = test_vector(seed, kk * n);
+        let init = test_vector(seed ^ 0x5555, m * n);
+        for backend in Backend::available() {
+            let mut all = init.clone();
+            backend.matmul_acc(&a[..m * kk], &b, &mut all, m, kk, n);
+            for i in 0..m {
+                let mut one = init[i * n..(i + 1) * n].to_vec();
+                backend.matmul_acc(&a[i * kk..(i + 1) * kk], &b, &mut one, 1, kk, n);
+                prop_assert!(
+                    bits_of(&all[i * n..(i + 1) * n]) == bits_of(&one),
+                    "backend `{}`: row {} of a {}x{}x{} product differs from its 1-row product",
+                    backend.name(), i, m, kk, n
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn elementwise_kernels_rows_are_independent_on_every_backend(
+        shape in (1..9usize, 1..140usize),
+        a in prop::collection::vec(wild_f32(), 8 * 139),
+        b in prop::collection::vec(wild_f32(), 8 * 139),
+    ) {
+        let (rows, w) = shape;
+        let len = rows * w;
+        let (a, b) = (&a[..len], &b[..len]);
+        // The gate kernels take one bias row broadcast over the batch: the
+        // B-row call sees it tiled, the per-row calls see the row itself.
+        let bias_row = &b[..w];
+        let tiled: Vec<f32> = bias_row.iter().copied().cycle().take(len).collect();
+        let kernels: [BinaryKernel; 5] = [
+            ("add", |k, a, b, o| k.add(a, b, o)),
+            ("mul", |k, a, b, o| k.mul(a, b, o)),
+            ("tanh", |k, a, _, o| k.tanh(a, o)),
+            ("sigmoid_gate", |k, a, b, o| k.sigmoid_gate(a, b, o)),
+            ("tanh_gate", |k, a, b, o| k.tanh_gate(a, b, o)),
+        ];
+        for backend in Backend::available() {
+            for (name, run) in kernels {
+                let gate = name.ends_with("_gate");
+                let rhs: &[f32] = if gate { &tiled } else { b };
+                let mut batched = vec![0.0f32; len];
+                run(&backend, a, rhs, &mut batched);
+                let mut per_row = vec![0.0f32; len];
+                for r in 0..rows {
+                    let span = r * w..(r + 1) * w;
+                    let row_rhs = if gate { bias_row } else { &b[span.clone()] };
+                    run(&backend, &a[span.clone()], row_rhs, &mut per_row[span]);
+                }
+                prop_assert!(
+                    bits_of(&batched) == bits_of(&per_row),
+                    "backend `{}`: `{}` over {} rows of width {} differs from per-row calls",
+                    backend.name(), name, rows, w
+                );
+            }
         }
     }
 }

@@ -159,8 +159,8 @@ echo "==> bench-ratchet gate (results/BENCH_10.json vs bench.baseline)"
 cargo run -q -p lead-bench --release --bin bench_ratchet -- \
     --write results/BENCH_10.json --baseline bench.baseline
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Deterministic artifact listing: uploads of results/ must not depend on
 # filesystem enumeration order or locale.
