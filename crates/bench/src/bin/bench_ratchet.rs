@@ -9,7 +9,7 @@
 //! ```
 //!
 //! - `--write PATH` — run the suite and write the canonical
-//!   `bench-ratchet/v1` JSON (CI writes `results/BENCH_9.json`).
+//!   `bench-ratchet/v1` JSON (CI writes `target/ci/bench.json`).
 //! - `--baseline PATH` — compare the run against a baseline file; exit 1
 //!   when any fingerprint-matched bench exceeds the headroom ratio. Stale
 //!   and new entries are reported but do not fail the gate.

@@ -9,6 +9,7 @@ use lead_core::encoding::{Autoencoder, EncoderKind};
 use lead_core::features::{FeatureExtractor, Normalizer};
 use lead_core::processing::ProcessedTrajectory;
 use lead_eval::report::curve_csv;
+use lead_obs::probe::NOOP;
 use lead_synth::generate_dataset;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -64,7 +65,7 @@ fn main() {
     for (name, kind, attention) in variants {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut ae = Autoencoder::new(&cfg, kind, attention, &mut rng);
-        let curve = ae.train(&samples, &cfg, &mut rng);
+        let (curve, _) = ae.train(&samples, None, &cfg, &mut rng, &NOOP);
         let min = curve.iter().cloned().fold(f32::INFINITY, f32::min);
         let argmin = curve
             .iter()

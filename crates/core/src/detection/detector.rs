@@ -15,7 +15,7 @@ use rand::Rng;
 
 /// One training item: a group's subgroup c-vec lists paired with its flat
 /// ε-smoothed label distribution.
-pub type GroupItem = (Vec<Vec<Matrix>>, Matrix);
+pub(crate) type GroupItem = (Vec<Vec<Matrix>>, Matrix);
 
 /// A stacked-BiLSTM subgroup detector.
 pub struct GroupDetector {
@@ -106,42 +106,23 @@ impl GroupDetector {
     }
 
     /// Trains against ε-smoothed labels with the KLD loss (Equations
-    /// (11)–(12)), returning the per-epoch mean training KLD curve
-    /// (Figure 10).
+    /// (11)–(12)). Returns `(train_curve, val_curve)`: the per-epoch mean
+    /// training KLD (Figure 10) and, when `val_items` is given, the
+    /// per-epoch validation KLD. Early stopping observes the training loss:
+    /// at this dataset scale the validation split is too small for its loss
+    /// to be a reliable stopping signal (it is recorded for reporting and
+    /// diagnostics).
     ///
     /// Each training item pairs a group (subgroup c-vec lists) with its flat
     /// label distribution (matching the group's flattening order).
+    ///
+    /// `probe` records a `{scope}.epoch` span plus `{scope}.epoch_kld` /
+    /// `{scope}.epoch_val_kld` observations and the trainer's
+    /// `{scope}.grad_norm` / `{scope}.optim_steps` (the pipeline uses scopes
+    /// `det.fwd` and `det.bwd`). Metrics are write-only — the trained
+    /// weights are identical for any probe, [`lead_obs::probe::NOOP`]
+    /// included.
     pub fn train<R: Rng>(
-        &mut self,
-        items: &[GroupItem],
-        config: &LeadConfig,
-        rng: &mut R,
-    ) -> Vec<f32> {
-        self.train_with_validation(items, None, config, rng).0
-    }
-
-    /// Like [`Self::train`], but additionally records the per-epoch
-    /// validation KLD when `val_items` is given. Early stopping observes the
-    /// training loss: at this dataset scale the validation split is too
-    /// small for its loss to be a reliable stopping signal (it is recorded
-    /// for reporting and diagnostics). Returns `(train_curve, val_curve)`.
-    pub fn train_with_validation<R: Rng>(
-        &mut self,
-        items: &[GroupItem],
-        val_items: Option<&[GroupItem]>,
-        config: &LeadConfig,
-        rng: &mut R,
-    ) -> (Vec<f32>, Vec<f32>) {
-        self.train_probed(items, val_items, config, rng, &lead_obs::probe::NOOP, "det")
-    }
-
-    /// [`Self::train_with_validation`] with an observability probe: records a
-    /// `{scope}.epoch` span plus `{scope}.epoch_kld` / `{scope}.epoch_val_kld`
-    /// observations and the trainer's `{scope}.grad_norm` /
-    /// `{scope}.optim_steps` (the pipeline uses scopes `det.fwd` and
-    /// `det.bwd`). Metrics are write-only — the trained weights are identical
-    /// for any probe.
-    pub fn train_probed<R: Rng>(
         &mut self,
         items: &[GroupItem],
         val_items: Option<&[GroupItem]>,
@@ -386,7 +367,7 @@ mod tests {
                 (groups, label)
             })
             .collect();
-        let curve = det.train(&items, &c, &mut rng);
+        let (curve, _) = det.train(&items, None, &c, &mut rng, &lead_obs::probe::NOOP, "det");
         assert!(curve.last().unwrap() < &curve[0], "curve {curve:?}");
 
         let refs: Vec<Vec<&Matrix>> = items[0].0.iter().map(|s| s.iter().collect()).collect();

@@ -77,36 +77,16 @@ impl MlpDetector {
     /// of each trajectory is the positive, all others negatives.
     ///
     /// `items` pairs each trajectory's candidate c-vecs with the index of the
-    /// loaded one. Returns the per-epoch mean BCE curve.
+    /// loaded one. Returns `(train_curve, val_curve)`: the per-epoch mean BCE
+    /// and, when `val_items` is given, the per-epoch validation BCE
+    /// (reporting only; early stopping observes the training loss).
+    ///
+    /// `probe` records a `det.mlp.epoch` span plus `det.mlp.epoch_bce` /
+    /// `det.mlp.epoch_val_bce` observations and the trainer's
+    /// `det.mlp.grad_norm` / `det.mlp.optim_steps`. Metrics are write-only —
+    /// the trained weights are identical for any probe,
+    /// [`lead_obs::probe::NOOP`] included.
     pub fn train<R: Rng>(
-        &mut self,
-        items: &[(Vec<Matrix>, usize)],
-        config: &LeadConfig,
-        rng: &mut R,
-    ) -> Vec<f32> {
-        self.train_with_validation(items, None, config, rng).0
-    }
-
-    /// Like [`Self::train`], but additionally records the per-epoch
-    /// validation BCE when `val_items` is given (reporting only; early
-    /// stopping observes the training loss). Returns
-    /// `(train_curve, val_curve)`.
-    pub fn train_with_validation<R: Rng>(
-        &mut self,
-        items: &[(Vec<Matrix>, usize)],
-        val_items: Option<&[(Vec<Matrix>, usize)]>,
-        config: &LeadConfig,
-        rng: &mut R,
-    ) -> (Vec<f32>, Vec<f32>) {
-        self.train_probed(items, val_items, config, rng, &lead_obs::probe::NOOP)
-    }
-
-    /// [`Self::train_with_validation`] with an observability probe: records a
-    /// `det.mlp.epoch` span plus `det.mlp.epoch_bce` / `det.mlp.epoch_val_bce`
-    /// observations and the trainer's `det.mlp.grad_norm` /
-    /// `det.mlp.optim_steps`. Metrics are write-only — the trained weights
-    /// are identical for any probe.
-    pub fn train_probed<R: Rng>(
         &mut self,
         items: &[(Vec<Matrix>, usize)],
         val_items: Option<&[(Vec<Matrix>, usize)]>,
@@ -217,7 +197,7 @@ mod tests {
                 (cv, 2usize)
             })
             .collect();
-        let curve = det.train(&items, &cfg, &mut rng);
+        let (curve, _) = det.train(&items, None, &cfg, &mut rng, &lead_obs::probe::NOOP);
         assert!(curve.last().unwrap() < &curve[0]);
         let p_pos = det.probability(&cvec(0.8, dim, 1234));
         let p_neg = det.probability(&cvec(-0.2, dim, 4321));

@@ -35,6 +35,9 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::missing_errors_doc)]
 
 pub mod config;
 pub mod detection;

@@ -578,7 +578,7 @@ impl Lead {
         let ae_val_samples = sample_candidates(&val_processed, &val_features, &mut rng);
         let val_opt = (!ae_val_samples.is_empty()).then_some(ae_val_samples.as_slice());
         let (ae_curve, ae_val_curve) =
-            autoencoder.train_probed(&ae_samples, val_opt, config, &mut rng, probe);
+            autoencoder.train(&ae_samples, val_opt, config, &mut rng, probe);
         report.ae_curve = ae_curve;
         report.ae_val_curve = ae_val_curve;
         drop(ae_samples);
@@ -633,17 +633,16 @@ impl Lead {
                 (group, label)
             })
         };
-        let train_group_detector = |forward: bool,
-                                    rng: &mut StdRng|
-         -> (GroupDetector, Vec<f32>, Vec<f32>) {
-            let mut det = GroupDetector::new(config, c_dim, rng);
-            let items = detector_items(&processed, &encoded, forward);
-            let val_items = detector_items(&val_processed, &val_encoded, forward);
-            let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
-            let scope = if forward { "det.fwd" } else { "det.bwd" };
-            let (curve, val_curve) = det.train_probed(&items, val_opt, config, rng, probe, scope);
-            (det, curve, val_curve)
-        };
+        let train_group_detector =
+            |forward: bool, rng: &mut StdRng| -> (GroupDetector, Vec<f32>, Vec<f32>) {
+                let mut det = GroupDetector::new(config, c_dim, rng);
+                let items = detector_items(&processed, &encoded, forward);
+                let val_items = detector_items(&val_processed, &val_encoded, forward);
+                let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
+                let scope = if forward { "det.fwd" } else { "det.bwd" };
+                let (curve, val_curve) = det.train(&items, val_opt, config, rng, probe, scope);
+                (det, curve, val_curve)
+            };
 
         match options.detector {
             DetectorChoice::Both => {
@@ -685,7 +684,7 @@ impl Lead {
                 let items = mlp_items(&processed, &encoded);
                 let val_items = mlp_items(&val_processed, &val_encoded);
                 let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
-                report.mlp_curve = det.train_probed(&items, val_opt, config, &mut rng, probe).0;
+                report.mlp_curve = det.train(&items, val_opt, config, &mut rng, probe).0;
                 mlp = Some(det);
             }
         }

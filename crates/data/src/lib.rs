@@ -19,6 +19,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(clippy::missing_errors_doc)]
 
 pub mod codec;
 pub mod container;

@@ -15,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::disallowed_types)]
 
 pub mod buckets;
 pub mod errors;

@@ -1,9 +1,14 @@
 //! Per-bucket mean inference time (Figure 8).
 //!
 //! This module is the workspace's only sanctioned home for wall-clock reads
-//! in result-affecting crates (lint rule R5): timing is a *reported metric*
-//! here, never an input to detection. Everything else must take a
-//! [`Stopwatch`] or a [`Duration`] instead of touching the clock.
+//! in result-affecting crates (R5, clippy's `disallowed_types`): timing is a
+//! *reported metric* here, never an input to detection. Everything else
+//! must take a [`Stopwatch`] or a [`Duration`] instead of touching the clock.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned wall-clock home: timing here is a reported metric, never a detection input"
+)]
 
 use crate::buckets::Bucket;
 use std::time::{Duration, Instant};
@@ -12,7 +17,7 @@ use std::time::{Duration, Instant};
 ///
 /// The sanctioned way to measure training/inference wall-clock outside this
 /// module: callers start a `Stopwatch` and read [`Self::elapsed`], keeping
-/// the raw `Instant::now` calls confined to this R5-exempt file.
+/// the raw `Instant::now` calls confined to this module.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 

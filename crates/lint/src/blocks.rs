@@ -5,9 +5,9 @@
 //! The per-line views in [`crate::scan`] answer "what does this line say";
 //! this module answers "what block does this line live in". The rule catalog
 //! uses it for the structural rules — R10 `unsafe-contract` (which `unsafe`
-//! sites exist, where `#[allow(unsafe_code)]` is attached) and R11
+//! sites exist, where `#[expect(unsafe_code)]` is attached) and R11
 //! `hot-loop-alloc` (which lines sit inside a loop body) — while the
-//! lexical rules R1–R9 keep consuming the per-line view unchanged.
+//! lexical rules R2–R9 keep consuming the per-line view unchanged.
 //!
 //! The parser is deliberately forgiving: unbalanced delimiters close at end
 //! of file, and anything it cannot classify becomes an `Other` block. It

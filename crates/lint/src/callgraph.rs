@@ -1,10 +1,11 @@
 //! Workspace-wide call graph and the interprocedural rule families built on
 //! it: R12 `panic-path` and R13 `determinism-taint`.
 //!
-//! The per-line rules (R1–R11) are file-local: they see a `.unwrap()` but
-//! not a public API that reaches one through three private helpers, and they
-//! sanction wall-clock *sites* without seeing a clock value laundered
-//! through a utility function into a result-affecting crate. This module
+//! The per-line rules (R2–R11) are file-local: they see a `.unwrap()` but
+//! not a public API that reaches one through three private helpers. Clippy's
+//! per-crate `disallowed_types` bans wall-clock *sites* in result-affecting
+//! crates without seeing a clock value laundered through a utility function
+//! in another crate. This module
 //! closes that gap. It extracts every `fn` item from the block IR
 //! ([`crate::blocks`]), every call site from the lossless token stream
 //! ([`crate::lex`]), resolves calls lexically across the workspace, and

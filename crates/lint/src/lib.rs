@@ -23,25 +23,33 @@
 //!
 //! | id            | contract                                                        |
 //! |---------------|-----------------------------------------------------------------|
-//! | `hash-order`  | R1: no `HashMap`/`HashSet` in result-affecting crates           |
 //! | `panic`       | R2: no `unwrap`/`expect`/`panic!`/literal indexing in libraries |
-//! | `thread-spawn`| R3: all parallelism goes through `lead_nn::par`                 |
 //! | `float-cast`  | R4a: no unguarded numeric narrowing in the numeric kernels      |
 //! | `float-eq`    | R4b: no float `==`/`!=` against literals/consts in kernels      |
-//! | `wall-clock`  | R5: timing only in `lead_eval::timing` and benches              |
-//! | `missing-doc` | R6: every `pub` item in `lead_core`/`lead_nn` is documented     |
-//! | `layering`    | R7: imports are declared, acyclic, and on the sanctioned DAG    |
-//! | `error-contract` | R8: fallible `pub fn`s document `# Errors`; no stringly errors |
-//! | `scope-drift` | R9: every crate is classified; scope tables stay current        |
-//! | `unsafe-contract` | R10: `unsafe` only in sanctioned modules, each site SAFETY-commented; library crates carry the crate-root lint attrs |
+//! | `layering`    | R7: workspace dependency edges stay on the sanctioned DAG       |
+//! | `error-contract` | R8: no stringly or boxed error types in library `pub fn`s    |
+//! | `scope-drift` | R9: every crate is classified; scope tables and crate-root lint attrs stay current |
+//! | `unsafe-contract` | R10: `unsafe` only in sanctioned modules, each site SAFETY-commented; library crates carry the crate-root unsafe lint |
 //! | `hot-loop-alloc` | R11: no allocation/clone calls in loop bodies of kernel-tagged modules |
 //! | `panic-path`  | R12: no `pub fn` of a result-affecting crate transitively reaches a panic site |
 //! | `determinism-taint` | R13: no nondeterminism source reachable from result-affecting public APIs |
 //!
-//! R7–R9 are cross-file: they combine each file's token-level imports with a
-//! parsed subset of every workspace `Cargo.toml` ([`manifest`]), so an
-//! undeclared `use`, a dependency edge outside the sanctioned DAG, or a new
-//! crate missing from the classification tables fails the gate.
+//! The numbers R1, R3, R5 and R6 are retired: those checks, R7's
+//! undeclared-import and cycle halves, and R8's `# Errors` half are enforced
+//! by the toolchain, scoped by crate-root attributes that R9 audits:
+//!
+//! | former check          | now                                                        |
+//! |-----------------------|------------------------------------------------------------|
+//! | R1 hash order, R5 wall clock | clippy `disallowed_types` (list in `clippy.toml`), denied at each result-lib crate root |
+//! | R3 thread spawning    | clippy `disallowed_methods`, fatal everywhere under `-D warnings` |
+//! | R6 public-item docs   | rustc `missing_docs` + `unreachable_pub` in the documented crates |
+//! | R7 undeclared imports, cycles | rustc name resolution, cargo's resolver             |
+//! | R8 `# Errors` section | clippy `missing_errors_doc` in the documented crates       |
+//!
+//! R7 and R9 are cross-file: they read a parsed subset of every workspace
+//! `Cargo.toml` ([`manifest`]), so a dependency edge outside the sanctioned
+//! DAG, or a new crate missing from the classification tables, fails the
+//! gate.
 //!
 //! R12–R13 are interprocedural: [`callgraph`] extracts every `fn` item and
 //! call site from the token stream + block IR, resolves calls lexically
@@ -54,13 +62,13 @@
 //! R10 confines `unsafe` to the allowlist in `rules::SANCTIONED_UNSAFE`
 //! (initially `lead_nn::simd`): every site there needs a non-empty
 //! `// SAFETY:` comment directly above, every library crate outside the
-//! allowlist must actually carry `#![forbid(unsafe_code)]` +
-//! `#![deny(missing_docs)]`, and sanctioned crates downgrade to
-//! `#![deny(unsafe_code)]` with `#[allow(unsafe_code)]` permitted only on
-//! the sanctioned module's declaration. R11 reads the block IR's loop spans
-//! inside modules tagged `[package.metadata.lead] kernel = …` and flags
-//! allocation calls (`Vec::new`, `push`, `collect`, `clone`, `format!`, …)
-//! in loop bodies, keeping kernel inner loops allocation-free.
+//! allowlist must actually carry `#![forbid(unsafe_code)]`, and sanctioned
+//! crates downgrade to `#![deny(unsafe_code)]` with
+//! `#[expect(unsafe_code)]` permitted only on the sanctioned module's
+//! declaration. R11 reads the block IR's loop spans inside modules tagged
+//! `[package.metadata.lead] kernel = …` and flags allocation calls
+//! (`Vec::new`, `push`, `collect`, `clone`, `format!`, …) in loop bodies,
+//! keeping kernel inner loops allocation-free.
 //!
 //! # Output and ratchet
 //!
@@ -83,7 +91,10 @@
 //!
 //! A waiver with no reason, an unknown rule name, or one that waives nothing
 //! is itself a diagnostic (`bad-waiver` / `unused-waiver`), so the gate also
-//! keeps waiver hygiene honest.
+//! keeps waiver hygiene honest. Toolchain-enforced checks are waived with
+//! `#[expect(lint, reason = "…")]` instead; clippy's `allow_attributes` and
+//! `allow_attributes_without_reason`, denied workspace-wide, keep those
+//! honest the same way.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -115,7 +126,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
         view: &view,
     }];
     let analysis = callgraph::analyze(&inputs, &[]);
-    let mut diags = rules::apply_file_with(rel_path, &view, None, analysis.used_for(rel_path));
+    let mut diags = rules::apply_file(rel_path, &view, &[], analysis.used_for(rel_path));
     diags.extend(analysis.diags);
     diags
 }
@@ -125,11 +136,11 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
 /// (unreadable file or directory), which the binary also treats as a gate
 /// failure.
 ///
-/// Unlike [`scan_source`], this runs the cross-file families too: each
-/// file's imports are checked against its crate's manifest (R7), the
+/// Unlike [`scan_source`], this runs the cross-file families too: the
 /// manifest-level layering/classification checks run once over the whole
-/// workspace (R7/R9), and the interprocedural families (R12/R13) propagate
-/// over the workspace-wide call graph ([`callgraph`]).
+/// workspace (R7/R9), kernel tags from the manifests scope R11, and the
+/// interprocedural families (R12/R13) propagate over the workspace-wide call
+/// graph ([`callgraph`]).
 pub fn scan_workspace(root: &std::path::Path) -> Result<Vec<Diagnostic>, String> {
     let files = walk::workspace_sources(root)?;
     let manifests = manifest::workspace_manifests(root)?;
@@ -148,16 +159,11 @@ pub fn scan_workspace(root: &std::path::Path) -> Result<Vec<Diagnostic>, String>
         .collect();
     let analysis = callgraph::analyze(&inputs, &manifests);
     let mut diags = Vec::new();
-    for (rel, source, view) in &sources {
-        let imports = workspace::imports(source);
-        let checks = rules::FileChecks {
-            imports: &imports,
-            manifests: &manifests,
-        };
-        diags.extend(rules::apply_file_with(
+    for (rel, _, view) in &sources {
+        diags.extend(rules::apply_file(
             rel,
             view,
-            Some(&checks),
+            &manifests,
             analysis.used_for(rel),
         ));
     }

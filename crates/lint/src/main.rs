@@ -105,13 +105,14 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 // The rule range derives from the catalog so it cannot drift.
-                let last = lead_lint::rules::RULE_DOCS[lead_lint::rules::RULE_DOCS.len() - 1].num;
+                let docs = &lead_lint::rules::RULE_DOCS;
+                let (first, last) = (docs[0].num, docs[docs.len() - 1].num);
                 println!(
                     "usage: lead-lint [--root DIR] [--format text|json] [--baseline FILE] [--list-rules]\n\
                      \x20      lead-lint explain [R<N>|<rule-id>]\n\n\
                      Scans the LEAD workspace sources and fails on violations of the\n\
                      determinism, panic-freedom, unsafe-contract, and architecture rule\n\
-                     catalog (R1-{last}, see DESIGN.md; `lead-lint explain` prints it).\n\
+                     catalog ({first}-{last}, see DESIGN.md; `lead-lint explain` prints it).\n\
                      Waive a deliberate violation with a justified line comment:\n\
                      '// lint: allow(<rule>): <reason>'.\n\n\
                      --baseline enables ratchet mode: diagnostics listed in FILE (one\n\

@@ -38,19 +38,8 @@ pub struct Manifest {
     /// the whole crate as a hot kernel (R11 `hot-loop-alloc`), a
     /// comma-separated list tags the named top-level modules only.
     pub lead_kernel: Option<(String, usize)>,
-    /// True for `vendor/*` shims (registered as known packages, but exempt
-    /// from the layering and scope rules).
+    /// True for `vendor/*` shims (exempt from the layering and scope rules).
     pub vendored: bool,
-}
-
-impl Manifest {
-    /// Whether `pkg` is declared as a dependency; `include_dev` also accepts
-    /// `[dev-dependencies]` entries.
-    pub fn declares(&self, pkg: &str, include_dev: bool) -> bool {
-        self.deps
-            .iter()
-            .any(|d| d.name == pkg && (include_dev || !d.dev))
-    }
 }
 
 /// Parses one manifest source. `rel_dir`/`rel_path` are stored verbatim.
@@ -207,11 +196,12 @@ workspace = true
             m.lead_kernel.as_ref().map(|k| k.0.as_str()),
             Some("simd,ops")
         );
-        assert!(m.declares("lead-geo", false));
-        assert!(m.declares("rand", false));
-        assert!(m.declares("lead-nn", false), "dotted section form");
-        assert!(!m.declares("proptest", false), "dev-dep needs include_dev");
-        assert!(m.declares("proptest", true));
+        let deps: Vec<(&str, bool)> = m.deps.iter().map(|d| (d.name.as_str(), d.dev)).collect();
+        assert!(deps.contains(&("lead-geo", false)));
+        assert!(deps.contains(&("rand", false)));
+        assert!(deps.contains(&("lead-nn", false)), "dotted section form");
+        assert!(deps.contains(&("proptest", true)), "dev-dep is marked dev");
+        assert!(!deps.contains(&("proptest", false)));
         let geo = m.deps.iter().find(|d| d.name == "lead-geo").expect("geo");
         assert_eq!(geo.line, 10);
     }

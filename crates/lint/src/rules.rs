@@ -1,24 +1,25 @@
-//! The rule catalog (R1–R6) and its application to preprocessed lines.
+//! The rule catalog and its application to preprocessed lines.
 //!
 //! Rule scoping is by workspace-relative path. The catalog (mirrored in
-//! DESIGN.md) distinguishes three file classes:
+//! DESIGN.md) distinguishes two file classes:
 //!
-//! - **library crates** (`lead_core`, `lead_nn`, `lead_geo`, `lead_eval`,
-//!   `lead_baselines`, `lead_synth`, `lead_obs`) — must be panic-free (R2)
-//!   on degenerate input;
-//! - **result-affecting crates** (`lead_core`, `lead_nn`, `lead_eval`,
-//!   `lead_obs`) — everything feeding the `c-vec`s, probability
-//!   distributions, and evaluation reports; must be order-deterministic (R1)
-//!   and wall-clock free (R5 — with `lead_eval::timing` and
-//!   `lead_obs::clock` as the two sanctioned wall-clock homes);
+//! - **library crates** (`lead_core`, `lead_nn`, `lead_geo`, `lead_data`,
+//!   `lead_eval`, `lead_baselines`, `lead_synth`, `lead_obs`) — must be
+//!   panic-free (R2) on degenerate input and return typed errors (R8);
 //! - **numeric kernels** (`lead_nn`, `lead_core::detection`,
 //!   `lead_core::encoding`, `lead_core::features`) — must not narrow floats
 //!   or compare them exactly without a guard (R4).
 //!
-//! R3 (thread spawning) and waiver hygiene apply to every scanned file; R6
-//! (doc comments) applies to `lead_core`, `lead_nn`, and `lead_obs`. Test
-//! code (`#[cfg(test)]` regions; `tests/` and `benches/` trees are never
-//! scanned) is exempt from everything except waiver hygiene.
+//! Waiver hygiene applies to every scanned file. Test code (`#[cfg(test)]`
+//! regions; `tests/` and `benches/` trees are never scanned) is exempt from
+//! everything except waiver hygiene.
+//!
+//! The bans on hash maps, wall-clock reads and ad-hoc threads (R1, R5, R3),
+//! the public-item docs (R6) and the `# Errors` doc section are not here:
+//! they are clippy's `disallowed_types`, `disallowed_methods` and
+//! `missing_errors_doc` and rustc's `missing_docs`/`unreachable_pub`,
+//! scoped by the crate-root attributes that the R9 audit
+//! ([`crate::workspace`]) requires of each class.
 //!
 //! The structural rules ride on the block IR ([`crate::blocks`]): R10
 //! (`unsafe-contract`) confines `unsafe` to the sanctioned-module allowlist
@@ -36,7 +37,7 @@ use crate::blocks::ItemKind;
 use crate::diag::Diagnostic;
 use crate::manifest::Manifest;
 use crate::scan::{FileView, Line};
-use crate::workspace::{self, Import};
+use crate::workspace;
 
 /// One rule's user-facing documentation: the `lead-lint explain` source of
 /// truth, mirrored by the DESIGN.md §10 table.
@@ -53,17 +54,7 @@ pub struct RuleDoc {
 
 /// The rule catalog documentation, in catalog order. [`RULE_IDS`] is derived
 /// from this table, so the identifier list can never drift from the docs.
-pub const RULE_DOCS: [RuleDoc; 14] = [
-    RuleDoc {
-        num: "R1",
-        id: "hash-order",
-        doc: "`HashMap`/`HashSet` are banned in result-affecting crates \
-              (lead-core, lead-nn, lead-eval, lead-obs): their iteration order \
-              varies across processes and silently reorders floating-point \
-              reductions, breaking the bit-identical parity contract. Use \
-              `BTreeMap`/`BTreeSet`, or sort explicitly before iterating.",
-        waiver: "// lint: allow(hash-order): order never observed, drained via sorted keys",
-    },
+pub const RULE_DOCS: [RuleDoc; 10] = [
     RuleDoc {
         num: "R2",
         id: "panic",
@@ -73,15 +64,6 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
               Degenerate GPS days are data, not bugs — degrade to \
               `Result`/`Option` with a typed error.",
         waiver: "// lint: allow(panic): length checked two lines above",
-    },
-    RuleDoc {
-        num: "R3",
-        id: "thread-spawn",
-        doc: "`thread::spawn`/`thread::scope`/`thread::Builder` are allowed \
-              only in `lead_nn::par`, the fixed-order reduction layer; ad-hoc \
-              threads reintroduce scheduling nondeterminism that the parity \
-              tests cannot see.",
-        waiver: "// lint: allow(thread-spawn): watchdog thread, results never cross it",
     },
     RuleDoc {
         num: "R4a",
@@ -102,29 +84,13 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
         waiver: "// lint: allow(float-eq): sentinel value assigned, never computed",
     },
     RuleDoc {
-        num: "R5",
-        id: "wall-clock",
-        doc: "`Instant`/`SystemTime` reads are banned in result-affecting \
-              crates outside the two sanctioned timing homes \
-              (`lead_eval::timing`, `lead_obs::clock`): wall-clock values in \
-              the result path make runs irreproducible.",
-        waiver: "// lint: allow(wall-clock): feeds a log line, never a result",
-    },
-    RuleDoc {
-        num: "R6",
-        id: "missing-doc",
-        doc: "Every `pub` item of the documented crates (lead-core, lead-nn, \
-              lead-data, lead-obs) carries a doc comment; the public surface \
-              is the paper-reproduction contract and stays self-describing.",
-        waiver: "// lint: allow(missing-doc): generated shim, documented at the trait",
-    },
-    RuleDoc {
         num: "R7",
         id: "layering",
-        doc: "Crate imports must follow the sanctioned dependency DAG in the \
-              classification table (`rules::CRATES`); an import that skips a \
-              layer or inverts an edge couples crates the architecture keeps \
-              apart. Dev-dependencies are legal inside `#[cfg(test)]`.",
+        doc: "Workspace dependency edges must follow the sanctioned DAG in the \
+              classification table (`rules::CRATES`); an edge that skips a \
+              layer or inverts one couples crates the architecture keeps \
+              apart. Dev-dependencies are not edges. rustc already rejects an \
+              undeclared crate, and cargo a dependency cycle.",
         waiver: "// lint: allow(layering): transitional, tracked in ROADMAP item 4",
     },
     RuleDoc {
@@ -132,8 +98,8 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
         id: "error-contract",
         doc: "Fallible public APIs return typed errors: `Result<_, String>` \
               and `Box<dyn Error>` are unmatchable and banned as library \
-              error types, and in documented crates every `pub fn` returning \
-              `Result` carries an `# Errors` doc section.",
+              error types. The `# Errors` doc section is clippy's \
+              `missing_errors_doc`, denied in the documented crates.",
         waiver: "// lint: allow(error-contract): FFI boundary, stringly by design",
     },
     RuleDoc {
@@ -141,9 +107,13 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
         id: "scope-drift",
         doc: "The classification table and the tree must agree: every crate \
               directory appears in `rules::CRATES`, every manifest's \
-              `[package.metadata.lead] class` matches the table, and every \
-              sanctioned-scope path exists. Drift here silently widens or \
-              voids the other rules.",
+              `[package.metadata.lead] class` matches the table, every \
+              sanctioned-scope path exists, and every library crate root \
+              carries the lint attributes its class needs (`missing_docs`; \
+              `clippy::disallowed_types` for result-lib crates; \
+              `unreachable_pub` and `clippy::missing_errors_doc` for the \
+              documented crates). Drift here silently widens or voids the \
+              other rules.",
         waiver: "// lint: allow(scope-drift): crate split in flight, table follows",
     },
     RuleDoc {
@@ -151,8 +121,8 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
         id: "unsafe-contract",
         doc: "`unsafe` is confined to the sanctioned-module allowlist \
               (`lead_nn::simd`), each site carrying a non-empty `// SAFETY:` \
-              justification directly above, and `allow(unsafe_code)` may \
-              re-open only a sanctioned module's crate-root declaration.",
+              justification directly above, and `allow`/`expect(unsafe_code)` \
+              may re-open only a sanctioned module's crate-root declaration.",
         waiver: "// lint: allow(unsafe-contract): justification lives on the wrapper above",
     },
     RuleDoc {
@@ -184,16 +154,16 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
               iteration, environment reads other than the sanctioned \
               `LEAD_SIMD_FORCE` probe, and thread identity — must not be \
               reachable from result-affecting crates' public APIs, even when \
-              laundered through helper crates the per-line rules cannot see \
-              across. Waiver placement works as in R12.",
+              laundered through helper crates that clippy's per-crate bans \
+              cannot see across. Waiver placement works as in R12.",
         waiver: "// lint: allow(determinism-taint): value feeds telemetry, not results",
     },
 ];
 
 /// The machine-readable rule identifiers, as used in waivers. Derived from
 /// [`RULE_DOCS`] so the two can never drift.
-pub const RULE_IDS: [&str; 14] = {
-    let mut ids = [""; 14];
+pub const RULE_IDS: [&str; 10] = {
+    let mut ids = [""; 10];
     let mut i = 0;
     while i < RULE_DOCS.len() {
         ids[i] = RULE_DOCS[i].id;
@@ -205,8 +175,9 @@ pub const RULE_IDS: [&str; 14] = {
 /// A crate's role in the workspace, deciding which rule families apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
-    /// Library code feeding the detection results: panic-free (R2),
-    /// order-deterministic (R1), wall-clock free (R5), typed errors (R8).
+    /// Library code feeding the detection results: panic-free (R2), typed
+    /// errors (R8), and free of hash maps and wall-clock reads (the crate
+    /// root denies `clippy::disallowed_types`).
     ResultLib,
     /// Library code off the result path: panic-free (R2), typed errors (R8).
     Lib,
@@ -240,7 +211,9 @@ pub struct CrateInfo {
     pub package: &'static str,
     /// The crate's class; `[package.metadata.lead]` must agree (R9).
     pub class: Class,
-    /// Whether R6 (`missing-doc`) and the R8 `# Errors` requirement apply.
+    /// Whether the crate root must deny `unreachable_pub` and
+    /// `clippy::missing_errors_doc`, so every `pub` item is documented and
+    /// every fallible one has an `# Errors` section.
     pub doc: bool,
     /// Sanctioned workspace dependencies (R7); ignored for `Bin`.
     pub allowed: &'static [&'static str],
@@ -343,11 +316,8 @@ const KERNEL_PATHS: [&str; 3] = [
     "crates/core/src/encoding/",
 ];
 
-/// Files where wall-clock reads are the point (R5 exemption).
+/// Files where wall-clock reads are the point (R13 exemption).
 const TIMING_FILES: [&str; 2] = ["crates/eval/src/timing.rs", "crates/obs/src/clock.rs"];
-
-/// The one module allowed to create threads (R3 exemption).
-const PAR_FILES: [&str; 1] = ["crates/nn/src/par.rs"];
 
 /// One sanctioned-unsafe module: the only places R10 permits the `unsafe`
 /// keyword, each site still requiring a `// SAFETY:` justification.
@@ -386,12 +356,11 @@ pub fn scope_paths() -> impl Iterator<Item = &'static str> {
     KERNEL_PATHS
         .iter()
         .chain(TIMING_FILES.iter())
-        .chain(PAR_FILES.iter())
         .copied()
         .chain(SANCTIONED_UNSAFE.iter().map(|s| s.path))
 }
 
-/// Whether `rel` is one of the two sanctioned wall-clock homes (R5/R13).
+/// Whether `rel` is one of the two sanctioned wall-clock homes (R13).
 pub(crate) fn is_timing_file(rel: &str) -> bool {
     TIMING_FILES.contains(&rel)
 }
@@ -411,51 +380,19 @@ fn is_lib(rel: &str) -> bool {
     class_of(rel).is_some_and(|c| matches!(c.class, Class::Lib | Class::ResultLib))
 }
 
-fn is_result_affecting(rel: &str) -> bool {
-    class_of(rel).is_some_and(|c| c.class == Class::ResultLib)
-}
-
 fn is_kernel(rel: &str) -> bool {
     KERNEL_PATHS.iter().any(|p| rel.starts_with(p)) || rel == "crates/core/src/features.rs"
 }
 
-fn is_doc_scope(rel: &str) -> bool {
-    class_of(rel).is_some_and(|c| c.doc)
-}
-
-/// The cross-file context available when scanning a whole workspace: the
-/// file's extracted imports plus every parsed manifest. Absent for the
-/// single-file [`crate::scan_source`] entry point.
-pub struct FileChecks<'a> {
-    /// Imports extracted from this file's token stream.
-    pub imports: &'a [Import],
-    /// Every workspace manifest (including vendored shims).
-    pub manifests: &'a [Manifest],
-}
-
-/// Applies the single-file catalog to one file's scan view.
-pub fn apply(rel_path: &str, view: &FileView) -> Vec<Diagnostic> {
-    apply_file(rel_path, view, None)
-}
-
-/// Applies the full catalog — the single-file rules plus, when `checks` is
-/// present, the per-import layering rule (R7) and the manifest-scoped R11 —
-/// to one file.
+/// Applies the full catalog to one file: the single-file rules plus R11,
+/// which needs `manifests` (every workspace manifest; empty for a lone
+/// file) to find kernel-tagged modules. `(line index, rule)` waivers already
+/// consumed by the interprocedural pass ([`crate::callgraph`]) are fed in
+/// through `pre_used` so waiver hygiene accounts for them.
 pub fn apply_file(
     rel_path: &str,
     view: &FileView,
-    checks: Option<&FileChecks<'_>>,
-) -> Vec<Diagnostic> {
-    apply_file_with(rel_path, view, checks, &[])
-}
-
-/// [`apply_file`], with `(line index, rule)` waivers already consumed by the
-/// interprocedural pass ([`crate::callgraph`]) fed in so waiver hygiene
-/// accounts for them.
-pub fn apply_file_with(
-    rel_path: &str,
-    view: &FileView,
-    checks: Option<&FileChecks<'_>>,
+    manifests: &[Manifest],
     pre_used: &[(usize, String)],
 ) -> Vec<Diagnostic> {
     let lines = view.lines.as_slice();
@@ -482,41 +419,18 @@ pub fn apply_file_with(
             });
         };
 
-        // R7 applies inside `#[cfg(test)]` too (dev-dependencies become
-        // legal there); everything else is exempt in test regions.
-        if let Some(checks) = checks {
-            for import in checks.imports.iter().filter(|im| im.line == line.number) {
-                if let Some(msg) =
-                    workspace::check_import(rel_path, line.in_test, import, checks.manifests)
-                {
-                    fire("layering", import.col, msg);
-                }
-            }
-        }
         if line.in_test {
             continue;
         }
         let code = line.code.as_str();
 
-        if is_result_affecting(rel_path) {
-            check_hash_order(code, &mut fire);
-            if !TIMING_FILES.contains(&rel_path) {
-                check_wall_clock(code, &mut fire);
-            }
-        }
         if is_lib(rel_path) {
             check_panic(code, &mut fire);
-            check_error_contract(rel_path, lines, i, &mut fire);
-        }
-        if !PAR_FILES.contains(&rel_path) {
-            check_thread_spawn(code, &mut fire);
+            check_error_contract(lines, i, &mut fire);
         }
         if is_kernel(rel_path) {
             check_float_cast(code, &mut fire);
             check_float_eq(code, &mut fire);
-        }
-        if is_doc_scope(rel_path) {
-            check_missing_doc(lines, i, &mut fire);
         }
     }
 
@@ -539,10 +453,8 @@ pub fn apply_file_with(
             });
         };
         check_unsafe_contract(rel_path, view, &mut fire_at);
-        if let Some(checks) = checks {
-            if kernel_tagged(rel_path, checks.manifests) {
-                check_hot_loop_alloc(view, &mut fire_at);
-            }
+        if kernel_tagged(rel_path, manifests) {
+            check_hot_loop_alloc(view, &mut fire_at);
         }
     }
 
@@ -566,26 +478,6 @@ pub(crate) fn waiver_for(lines: &[Line], i: usize, rule: &str) -> Option<(usize,
         return Some((i - 1, rule.to_string()));
     }
     None
-}
-
-// ---------------------------------------------------------------------------
-// R1 — hash-order
-// ---------------------------------------------------------------------------
-
-fn check_hash_order(code: &str, fire: &mut impl FnMut(&'static str, usize, String)) {
-    for name in ["HashMap", "HashSet"] {
-        if let Some(pos) = find_word(code, name) {
-            fire(
-                "hash-order",
-                pos + 1,
-                format!(
-                    "`{name}` in a result-affecting crate: iteration order is \
-                     nondeterministic and breaks the parity contract — use \
-                     `BTreeMap`/`BTreeSet` or an explicit sort"
-                ),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -671,25 +563,6 @@ fn find_literal_index(code: &str) -> Option<(usize, usize)> {
         }
     }
     None
-}
-
-// ---------------------------------------------------------------------------
-// R3 — thread-spawn
-// ---------------------------------------------------------------------------
-
-fn check_thread_spawn(code: &str, fire: &mut impl FnMut(&'static str, usize, String)) {
-    for pat in ["thread::spawn", "thread::scope", "thread::Builder"] {
-        if let Some(pos) = code.find(pat) {
-            fire(
-                "thread-spawn",
-                pos + 1,
-                format!(
-                    "`{pat}` outside `lead_nn::par`: all parallelism must go \
-                     through the fixed-order reduction layer"
-                ),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -827,74 +700,10 @@ fn token_is_floaty(tok: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// R5 — wall-clock
-// ---------------------------------------------------------------------------
-
-fn check_wall_clock(code: &str, fire: &mut impl FnMut(&'static str, usize, String)) {
-    for pat in ["Instant", "SystemTime"] {
-        if let Some(pos) = find_word(code, pat) {
-            fire(
-                "wall-clock",
-                pos + 1,
-                format!(
-                    "`{pat}` in result-affecting code: wall-clock reads make runs \
-                     irreproducible — timing belongs in `lead_eval::timing` \
-                     (e.g. `Stopwatch`) or the bench crate"
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R6 — missing-doc
-// ---------------------------------------------------------------------------
-
-const DOC_ITEMS: [&str; 8] = [
-    "pub fn ",
-    "pub struct ",
-    "pub enum ",
-    "pub trait ",
-    "pub type ",
-    "pub const ",
-    "pub static ",
-    "pub unsafe ",
-];
-
-fn check_missing_doc(lines: &[Line], i: usize, fire: &mut impl FnMut(&'static str, usize, String)) {
-    let trimmed = lines[i].code.trim_start();
-    if !DOC_ITEMS.iter().any(|p| trimmed.starts_with(p)) {
-        return;
-    }
-    let col = lines[i].code.len() - trimmed.len() + 1;
-    // Walk upward over attributes; the first non-attribute line decides.
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let above = &lines[j];
-        let t = above.raw.as_str();
-        if t.starts_with("#[") || t.starts_with("#![") || t == ")]" {
-            continue;
-        }
-        if above.is_doc {
-            return; // documented
-        }
-        break;
-    }
-    let item = trimmed.split('(').next().unwrap_or(trimmed).trim();
-    fire(
-        "missing-doc",
-        col,
-        format!("public item `{item}` has no doc comment (R6: every `pub` item in core/nn is documented)"),
-    );
-}
-
-// ---------------------------------------------------------------------------
 // R8 — error-contract
 // ---------------------------------------------------------------------------
 
 fn check_error_contract(
-    rel_path: &str,
     lines: &[Line],
     i: usize,
     fire: &mut impl FnMut(&'static str, usize, String),
@@ -905,34 +714,20 @@ fn check_error_contract(
     }
     let col = lines[i].code.len() - trimmed.len() + 1;
     let sig = signature_text(lines, i);
-    let Some(ret) = return_type(&sig) else {
+    let Some(err) = return_type(&sig).and_then(|ret| result_err_type(&ret)) else {
         return;
     };
-    if find_word(&ret, "Result").is_none() {
-        return;
-    }
-    if let Some(err) = result_err_type(&ret) {
-        let banned = err == "String"
-            || err.ends_with("::String")
-            || (err.starts_with("Box<") && err.contains("dyn") && err.contains("Error"));
-        if banned {
-            fire(
-                "error-contract",
-                col,
-                format!(
-                    "`pub fn` returns `Result<_, {err}>`: stringly/boxed errors are \
-                     unmatchable — use a typed error (`LeadError` or a crate-local enum)"
-                ),
-            );
-        }
-    }
-    if is_doc_scope(rel_path) && !has_errors_doc(lines, i) {
+    let banned = err == "String"
+        || err.ends_with("::String")
+        || (err.starts_with("Box<") && err.contains("dyn") && err.contains("Error"));
+    if banned {
         fire(
             "error-contract",
             col,
-            "`pub fn` returning `Result` has no `# Errors` doc section: every fallible \
-             public API documents its failure modes"
-                .to_string(),
+            format!(
+                "`pub fn` returns `Result<_, {err}>`: stringly/boxed errors are \
+                 unmatchable — use a typed error (`LeadError` or a crate-local enum)"
+            ),
         );
     }
 }
@@ -1014,28 +809,6 @@ fn result_err_type(ret: &str) -> Option<String> {
     Some(ret[comma + 1..close].trim().to_string())
 }
 
-/// Whether the doc block directly above item line `i` (attributes skipped)
-/// contains an `# Errors` section.
-fn has_errors_doc(lines: &[Line], i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let above = &lines[j];
-        let t = above.raw.as_str();
-        if t.starts_with("#[") || t.starts_with("#![") || t == ")]" {
-            continue;
-        }
-        if above.is_doc {
-            if above.raw.contains("# Errors") {
-                return true;
-            }
-            continue;
-        }
-        break;
-    }
-    false
-}
-
 // ---------------------------------------------------------------------------
 // R10 — unsafe-contract (per-file half; the crate-attr half lives in
 // workspace.rs)
@@ -1097,14 +870,17 @@ fn check_unsafe_contract(
             ),
         }
     }
-    // `#[allow(unsafe_code)]` may only re-open a sanctioned module, and only
-    // as an attribute on that module's declaration at its crate root.
+    // `allow`/`expect(unsafe_code)` may only re-open a sanctioned module, and
+    // only as an attribute on that module's declaration at its crate root.
+    // Any `unsafe_code` outside a `deny`/`forbid` counts, so an attribute
+    // split over several lines is caught too.
     if sanctioned.is_none() {
         for (i, line) in lines.iter().enumerate() {
-            if line.in_test {
+            let code = line.code.as_str();
+            if line.in_test || code.contains("deny(") || code.contains("forbid(") {
                 continue;
             }
-            let Some(pos) = line.code.find("allow(unsafe_code)") else {
+            let Some(pos) = find_word(code, "unsafe_code") else {
                 continue;
             };
             let legal = SANCTIONED_UNSAFE.iter().any(|s| {
@@ -1112,7 +888,8 @@ fn check_unsafe_contract(
                     && view.blocks.items.iter().any(|item| {
                         item.kind == ItemKind::Mod
                             && item.name.as_deref() == Some(s.module)
-                            && item.attr_lines.contains(&line.number)
+                            && item.attr_lines.first().is_some_and(|&a| a <= line.number)
+                            && line.number < item.line
                     })
             });
             if !legal {
@@ -1121,9 +898,9 @@ fn check_unsafe_contract(
                     pos + 1,
                     "unsafe-contract",
                     format!(
-                        "`allow(unsafe_code)` outside the sanctioned-module \
-                         declarations — only the crate-root declaration of {} may \
-                         re-open unsafe",
+                        "`allow(unsafe_code)`/`expect(unsafe_code)` outside the \
+                         sanctioned-module declarations — only the crate-root \
+                         declaration of {} may re-open unsafe",
                         sanctioned_list()
                     ),
                 );

@@ -365,10 +365,10 @@ fn also_real() {}
 
     #[test]
     fn waiver_parsing_extracts_rules_and_reason() {
-        let lines = preprocess("x(); // lint: allow(panic, hash-order): invariant holds\n");
+        let lines = preprocess("x(); // lint: allow(panic, float-eq): invariant holds\n");
         let w = &lines[0].waivers;
         assert_eq!(w.len(), 1);
-        assert_eq!(w[0].rules, vec!["panic", "hash-order"]);
+        assert_eq!(w[0].rules, vec!["panic", "float-eq"]);
         assert_eq!(w[0].reason, "invariant holds");
     }
 

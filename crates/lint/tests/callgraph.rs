@@ -38,8 +38,11 @@ fn crate_manifest(root: &Path, dir: &str, package: &str, class: &str, deps: &[&s
     write(&root.join(dir).join("Cargo.toml"), &toml);
 }
 
-/// Crate-root attrs the R10 audit demands of library crates.
-const ATTRS: &str = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n";
+/// Crate-root attrs the R9/R10 audits demand of every library class, kept
+/// on two lines so fixture line numbers stay put.
+const ATTRS: &str = "#![forbid(unsafe_code)]\n\
+    #![deny(missing_docs)] #![deny(unreachable_pub)] \
+    #![deny(clippy::disallowed_types)] #![deny(clippy::missing_errors_doc)]\n";
 
 fn rules_of(diags: &[lead_lint::diag::Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.rule).collect()
@@ -214,7 +217,7 @@ fn hashset_reached_through_a_helper_fires_r13() {
     let src = "//! E.\n\n\
                pub fn entry(v: &[u32]) -> usize {\n    helper(v)\n}\n\n\
                fn helper(v: &[u32]) -> usize {\n    \
-               // lint: allow(hash-order): fixture — drained via len only\n    \
+               // fixture — drained via len only\n    \
                let s: std::collections::HashSet<u32> = v.iter().copied().collect();\n    \
                s.len()\n}\n";
     let diags = lead_lint::scan_source("crates/eval/src/lib.rs", src);
@@ -295,7 +298,7 @@ fn other_env_reads_are_taint() {
 #[test]
 fn taint_site_waiver_silences_r13() {
     let src = "//! E.\n\npub fn entry(v: &[u32]) -> usize {\n    \
-               // lint: allow(hash-order, determinism-taint): fixture — len only\n    \
+               // lint: allow(determinism-taint): fixture — len only\n    \
                let s: std::collections::HashSet<u32> = v.iter().copied().collect();\n    \
                s.len()\n}\n";
     let diags = lead_lint::scan_source("crates/eval/src/lib.rs", src);
@@ -366,7 +369,7 @@ fn explain_without_a_target_lists_the_whole_catalog() {
     let (code, stdout, _) = run_bare(&["explain"]);
     assert_eq!(code, 0);
     for (num, id) in [
-        ("R1", "hash-order"),
+        ("R2", "panic"),
         ("R12", "panic-path"),
         ("R13", "determinism-taint"),
     ] {
@@ -415,6 +418,6 @@ fn explain_unknown_rule_is_a_usage_error() {
 fn help_derives_the_rule_range_from_the_catalog() {
     let (code, stdout, _) = run_bare(&["--help"]);
     assert_eq!(code, 0);
-    assert!(stdout.contains("R1-R13"), "{stdout}");
+    assert!(stdout.contains("R2-R13"), "{stdout}");
     assert!(stdout.contains("explain"), "{stdout}");
 }

@@ -1,7 +1,7 @@
 //! R10 (`unsafe-contract`) and R11 (`hot-loop-alloc`) fire/no-fire matrix:
 //! the sanctioned-unsafe allowlist, the `// SAFETY:` discipline, the
-//! crate-attr audit, `#[allow(unsafe_code)]` placement, kernel tagging, and
-//! waiver interplay — per-file cases through `scan_source`, manifest-scoped
+//! crate-attr audit (with its R9 half), `#[allow(unsafe_code)]` placement,
+//! kernel tagging, and waiver interplay — per-file cases through `scan_source`, manifest-scoped
 //! cases through `scan_workspace` on fixture workspaces.
 
 use std::fs;
@@ -35,8 +35,16 @@ fn manifest(root: &Path, dir: &str, package: &str, class: &str, kernel: Option<&
     write(&root.join(dir).join("Cargo.toml"), &toml);
 }
 
-/// The crate-root attrs the R10 audit demands of a non-sanctioned library.
-const ATTRS: &str = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n";
+/// Crate-root attrs the R9/R10 audits demand of every library class, kept
+/// on two lines so fixture line numbers stay put.
+const ATTRS: &str = "#![forbid(unsafe_code)]\n\
+    #![deny(missing_docs)] #![deny(unreachable_pub)] \
+    #![deny(clippy::disallowed_types)] #![deny(clippy::missing_errors_doc)]\n";
+
+/// The lint levels lead-nn's class (result-lib, documented) requires beside
+/// its unsafe lint.
+const NN_LINTS: &str = "#![deny(missing_docs)]\n#![deny(unreachable_pub)]\n\
+    #![deny(clippy::disallowed_types)]\n#![deny(clippy::missing_errors_doc)]\n";
 
 fn rules_of(diags: &[lead_lint::diag::Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.rule).collect()
@@ -132,21 +140,29 @@ fn waived_unsafe_site_is_silenced() {
 
 #[test]
 fn allow_unsafe_code_outside_sanctioned_declarations_fires() {
-    let src = "//! F.\n#![allow(unsafe_code)]\n";
-    let diags = lead_lint::scan_source("crates/core/src/lib.rs", src);
-    assert_eq!(rules_of(&diags), vec!["unsafe-contract"], "{diags:?}");
-    assert!(diags[0].message.contains("allow(unsafe_code)"));
+    for src in [
+        "//! F.\n#![allow(unsafe_code)]\n",
+        "//! F.\n#[expect(\n    unsafe_code,\n    reason = \"r\"\n)]\nmod m;\n",
+    ] {
+        let diags = lead_lint::scan_source("crates/core/src/lib.rs", src);
+        assert_eq!(rules_of(&diags), vec!["unsafe-contract"], "{diags:?}");
+        assert!(diags[0].message.contains("allow(unsafe_code)"));
+    }
 }
 
 #[test]
 fn allow_unsafe_code_on_the_sanctioned_mod_declaration_is_legal() {
-    let src = "//! N.\n\n/// Kernels.\n#[allow(unsafe_code)]\npub mod simd;\n";
-    let diags = lead_lint::scan_source("crates/nn/src/lib.rs", src);
-    assert!(diags.is_empty(), "{diags:?}");
+    for src in [
+        "//! N.\n\n/// Kernels.\n#[allow(unsafe_code)]\npub mod simd;\n",
+        "//! N.\n\n/// Kernels.\n#[expect(\n    unsafe_code,\n    reason = \"r\"\n)]\npub mod simd;\n",
+    ] {
+        let diags = lead_lint::scan_source("crates/nn/src/lib.rs", src);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
-// R10 workspace half: the crate-attr audit
+// The crate-attr audit: R10's unsafe lint, R9's class lint levels
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -165,15 +181,52 @@ fn library_crate_missing_forbid_unsafe_code_fires() {
 
 #[test]
 fn library_crate_missing_deny_missing_docs_fires() {
-    let root = ws("r10-no-docs");
-    manifest(&root, "crates/geo", "lead-geo", "lib", None);
-    write(
-        &root.join("crates/geo/src/lib.rs"),
-        "//! G.\n#![forbid(unsafe_code)]\n",
-    );
-    let diags = lead_lint::scan_workspace(&root).expect("scan");
-    assert_eq!(rules_of(&diags), vec!["unsafe-contract"], "{diags:?}");
-    assert!(diags[0].message.contains("missing_docs"));
+    // (crate, class, crate-root attrs, the one lint left out): every library
+    // needs missing_docs, eval as a result-lib crate also disallowed_types,
+    // and data as a documented crate also unreachable_pub and
+    // missing_errors_doc.
+    let cases = [
+        ("geo", "lib", "#![forbid(unsafe_code)]\n", "missing_docs"),
+        (
+            "eval",
+            "result-lib",
+            "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n",
+            "clippy::disallowed_types",
+        ),
+        (
+            "data",
+            "lib",
+            "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n\
+             #![deny(clippy::missing_errors_doc)]\n",
+            "unreachable_pub",
+        ),
+        (
+            "data",
+            "lib",
+            "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n#![deny(unreachable_pub)]\n",
+            "clippy::missing_errors_doc",
+        ),
+    ];
+    for (dir, class, attrs, missing) in cases {
+        let root = ws(&format!("r9-attrs-{dir}-{}", missing.replace(':', "")));
+        manifest(
+            &root,
+            &format!("crates/{dir}"),
+            &format!("lead-{dir}"),
+            class,
+            None,
+        );
+        write(
+            &root.join(format!("crates/{dir}/src/lib.rs")),
+            &format!("//! C.\n{attrs}"),
+        );
+        let diags = lead_lint::scan_workspace(&root).expect("scan");
+        assert_eq!(rules_of(&diags), vec!["scope-drift"], "{diags:?}");
+        assert!(
+            diags[0].message.contains(&format!("#![deny({missing})]")),
+            "{diags:?}"
+        );
+    }
 }
 
 #[test]
@@ -182,7 +235,7 @@ fn sanctioned_crate_must_use_deny_not_forbid() {
     manifest(&root, "crates/nn", "lead-nn", "result-lib", None);
     write(
         &root.join("crates/nn/src/lib.rs"),
-        "//! N.\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n",
+        &format!("//! N.\n#![forbid(unsafe_code)]\n{NN_LINTS}"),
     );
     let diags = lead_lint::scan_workspace(&root).expect("scan");
     assert_eq!(rules_of(&diags), vec!["unsafe-contract"], "{diags:?}");
@@ -195,7 +248,7 @@ fn sanctioned_crate_with_deny_unsafe_code_is_clean() {
     manifest(&root, "crates/nn", "lead-nn", "result-lib", None);
     write(
         &root.join("crates/nn/src/lib.rs"),
-        "//! N.\n#![deny(unsafe_code)]\n#![deny(missing_docs)]\n",
+        &format!("//! N.\n#![deny(unsafe_code)]\n{NN_LINTS}"),
     );
     let diags = lead_lint::scan_workspace(&root).expect("scan");
     assert!(diags.is_empty(), "{diags:?}");

@@ -1,5 +1,5 @@
-//! v2 gate tests: the cross-file rule families (R7 layering, R8
-//! error-contract, R9 scope-drift), JSON output, the baseline ratchet, the
+//! v2 gate tests: the cross-file rule families (R7 layering, R9
+//! scope-drift), R8 error-contract, JSON output, the baseline ratchet, the
 //! diagnostic sort order, and the waiver edge cases — all against synthetic
 //! workspaces under `CARGO_TARGET_TMPDIR`.
 
@@ -39,10 +39,13 @@ fn crate_manifest(root: &Path, dir: &str, package: &str, class: &str, deps: &[&s
 }
 
 /// A classified fixture crate root carrying the crate-attr discipline the
-/// R10 audit demands of library crates, so layering/scope tests stay focused
-/// on their own rule.
+/// R9/R10 audits demand of every library class, so layering/scope tests
+/// stay focused on their own rule.
 fn lib_rs(doc: &str) -> String {
-    format!("//! {doc}\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n")
+    format!(
+        "//! {doc}\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n#![deny(unreachable_pub)]\n\
+         #![deny(clippy::disallowed_types)]\n#![deny(clippy::missing_errors_doc)]\n"
+    )
 }
 
 fn run(root: &Path, extra: &[&str]) -> (i32, String) {
@@ -66,26 +69,6 @@ fn tuples(diags: &[lead_lint::diag::Diagnostic]) -> Vec<(String, usize, &'static
 // ---------------------------------------------------------------------------
 // R7 — layering
 // ---------------------------------------------------------------------------
-
-#[test]
-fn undeclared_import_fires_layering() {
-    let root = ws("v2-undeclared");
-    crate_manifest(&root, "crates/core", "lead-core", "result-lib", &[]);
-    crate_manifest(&root, "crates/geo", "lead-geo", "lib", &[]);
-    write(&root.join("crates/geo/src/lib.rs"), &lib_rs("Geo."));
-    write(
-        &root.join("crates/core/src/lib.rs"),
-        &format!("{}\nuse lead_geo::point;\n", lib_rs("Core.")),
-    );
-    let diags = lead_lint::scan_workspace(&root).expect("scan");
-    assert_eq!(
-        tuples(&diags),
-        vec![("crates/core/src/lib.rs".to_string(), 5, "layering")],
-        "{diags:?}"
-    );
-    assert!(diags[0].message.contains("without a declared dependency"));
-    assert!(diags[0].message.contains("lead-geo"));
-}
 
 #[test]
 fn declared_import_on_a_sanctioned_edge_is_clean() {
@@ -127,44 +110,9 @@ fn core_depending_on_eval_inverts_the_dag_and_fails() {
     assert!(diags[0].message.contains("may not depend on `lead-eval`"));
 }
 
-#[test]
-fn dependency_cycle_is_reported_once() {
-    let root = ws("v2-cycle");
-    crate_manifest(&root, "crates/alpha", "alpha", "lib", &["beta"]);
-    crate_manifest(&root, "crates/beta", "beta", "lib", &["alpha"]);
-    write(&root.join("crates/alpha/src/lib.rs"), &lib_rs("A."));
-    write(&root.join("crates/beta/src/lib.rs"), &lib_rs("B."));
-    let diags = lead_lint::scan_workspace(&root).expect("scan");
-    assert_eq!(diags.len(), 1, "one cycle, one diagnostic: {diags:?}");
-    assert_eq!(diags[0].rule, "layering");
-    assert!(diags[0].message.contains("dependency cycle"));
-    assert!(diags[0].message.contains("alpha -> beta -> alpha"));
-}
-
 // ---------------------------------------------------------------------------
 // R8 — error-contract
 // ---------------------------------------------------------------------------
-
-#[test]
-fn fallible_pub_fn_without_errors_doc_fires_in_doc_crates() {
-    let src =
-        "//! Doc.\n\n/// Does a thing.\npub fn f() -> Result<(), ConfigError> {\n    Ok(())\n}\n";
-    let diags = lead_lint::scan_source("crates/core/src/api.rs", src);
-    assert_eq!(
-        tuples(&diags),
-        vec![("crates/core/src/api.rs".to_string(), 4, "error-contract")],
-        "{diags:?}"
-    );
-    assert!(diags[0].message.contains("# Errors"));
-}
-
-#[test]
-fn errors_doc_section_satisfies_the_contract() {
-    let src = "//! Doc.\n\n/// Does a thing.\n///\n/// # Errors\n/// When the thing fails.\n\
-               pub fn f() -> Result<(), ConfigError> {\n    Ok(())\n}\n";
-    let diags = lead_lint::scan_source("crates/core/src/api.rs", src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
 
 #[test]
 fn string_error_type_is_banned_in_all_library_crates() {
@@ -190,10 +138,11 @@ fn boxed_dyn_error_is_banned_even_when_documented() {
 }
 
 #[test]
-fn multi_line_signatures_and_io_result_aliases_are_seen() {
-    // The signature spans lines; `std::io::Result` names no error parameter,
-    // so only the missing `# Errors` section fires.
-    let src = "//! Doc.\n\n/// Writes.\npub fn w<W: Write>(\n    w: &mut W,\n) -> std::io::Result<()> {\n    Ok(())\n}\n";
+fn multi_line_signatures_are_seen_and_io_result_aliases_are_exempt() {
+    // The first signature spans lines; `std::io::Result` names no error
+    // parameter, so only the stringly error fires.
+    let src = "//! Doc.\n\n/// Parses.\npub fn p(\n    s: &str,\n) -> Result<u32, String> {\n    Ok(1)\n}\n\n\
+               /// Writes.\npub fn w<W: Write>(\n    w: &mut W,\n) -> std::io::Result<()> {\n    Ok(())\n}\n";
     let diags = lead_lint::scan_source("crates/nn/src/fixture_io.rs", src);
     assert_eq!(
         tuples(&diags),
@@ -247,15 +196,16 @@ fn metadata_class_disagreeing_with_the_table_fires_scope_drift() {
 }
 
 // ---------------------------------------------------------------------------
-// Sort order and the R1–R6 regression workspace
+// Sort order and the single-file regression workspace
 // ---------------------------------------------------------------------------
 
 /// One seeded violation per single-file rule family, pinned to exact
-/// `(file, line, rule)` triples: this is the R1–R6 regression against the
-/// pre-refactor line-oriented scanner, and the `(path, line, rule)` sort pin
-/// in one test.
+/// `(file, line, rule)` triples: the regression against the pre-refactor
+/// line-oriented scanner, and the `(path, line, rule)` sort pin in one
+/// test. The hash map, clock, thread and undocumented item stay in the
+/// source: they are clippy's and rustc's now, so lead-lint stays silent.
 #[test]
-fn r1_to_r6_regression_workspace_pins_rules_lines_and_order() {
+fn single_file_regression_workspace_pins_rules_lines_and_order() {
     let root = ws("v2-regression");
     write(
         &root.join("crates/core/src/lib.rs"),
@@ -285,11 +235,7 @@ fn r1_to_r6_regression_workspace_pins_rules_lines_and_order() {
     assert_eq!(
         tuples(&diags),
         vec![
-            ("crates/core/src/lib.rs".to_string(), 4, "hash-order"),
             ("crates/core/src/lib.rs".to_string(), 5, "panic"),
-            ("crates/core/src/lib.rs".to_string(), 6, "wall-clock"),
-            ("crates/core/src/lib.rs".to_string(), 8, "thread-spawn"),
-            ("crates/core/src/lib.rs".to_string(), 11, "missing-doc"),
             ("crates/nn/src/lib.rs".to_string(), 4, "float-cast"),
             ("crates/nn/src/lib.rs".to_string(), 5, "float-eq"),
         ],
@@ -491,7 +437,7 @@ fn list_rules_includes_the_cross_file_families() {
         .expect("run lead-lint");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let rules: Vec<&str> = stdout.lines().collect();
-    assert_eq!(rules.len(), 14, "{stdout}");
+    assert_eq!(rules.len(), 10, "{stdout}");
     for id in [
         "layering",
         "error-contract",

@@ -49,6 +49,9 @@
 // `unsafe` still fails the build.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::missing_errors_doc)]
 
 pub mod init;
 pub mod io;
@@ -58,7 +61,10 @@ pub mod num;
 pub mod optim;
 pub mod par;
 pub mod params;
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "the SIMD kernels are the sanctioned unsafe module; every site carries a SAFETY comment"
+)]
 pub mod simd;
 pub mod tape;
 pub mod testing;

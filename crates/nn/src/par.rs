@@ -47,6 +47,10 @@ pub fn resolve_threads(num_threads: usize) -> usize {
 ///
 /// # Panics
 /// Propagates a panic from `f` (the scope joins all workers first).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the fixed-order reduction layer is the one sanctioned home for threads"
+)]
 pub fn par_map<T, R, F>(num_threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

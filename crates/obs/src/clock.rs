@@ -1,10 +1,15 @@
 //! The observability layer's only wall-clock home.
 //!
 //! Alongside `lead_eval::timing`, this module is the only place in
-//! result-affecting code allowed to read the wall clock (`lead-lint` rule
-//! R5). Durations measured here flow *into* probes and never back into
+//! result-affecting code allowed to read the wall clock (R5, clippy's
+//! `disallowed_types`). Durations measured here flow *into* probes and never back into
 //! computation, so instrumented runs stay bit-identical to uninstrumented
 //! ones.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned wall-clock home: durations flow into probes, never back into computation"
+)]
 
 use crate::probe::Probe;
 use std::time::{Duration, Instant};

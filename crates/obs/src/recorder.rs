@@ -220,6 +220,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs real threads to show the recorder is shareable"
+    )]
     fn recorder_is_shareable_across_threads() {
         let r = Recorder::new();
         std::thread::scope(|scope| {

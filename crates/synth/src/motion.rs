@@ -143,7 +143,6 @@ pub fn simulate<R: Rng>(
 }
 
 /// Appends the keyframes of one driving leg and advances `pos`/`t`.
-#[allow(clippy::too_many_arguments)] // internal helper mirroring the sim state
 fn drive<R: Rng>(
     city: &City,
     config: &SynthConfig,

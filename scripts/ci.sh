@@ -34,11 +34,13 @@ cargo test -q -p lead-nn --test proptest_simd planted_fma_kernel_is_caught_by_th
 echo "==> rustfmt --check (crates/lint/fixtures excluded)"
 git ls-files '*.rs' ':!:crates/lint/fixtures/*' | xargs rustfmt --check --edition 2021
 
+# Reports go under target/ci/ so a CI run never rewrites tracked files.
+mkdir -p target/ci
+
 echo "==> cargo run -p lead-lint --release (baseline ratchet, JSON report)"
-mkdir -p results
-if ! cargo run -q -p lead-lint --release -- --format json --baseline lint.baseline > results/lint.json; then
-    cat results/lint.json
-    echo "lead-lint gate failed (see results/lint.json)"
+if ! cargo run -q -p lead-lint --release -- --format json --baseline lint.baseline > target/ci/lint.json; then
+    cat target/ci/lint.json
+    echo "lead-lint gate failed (see target/ci/lint.json)"
     exit 1
 fi
 
@@ -49,7 +51,8 @@ mkdir -p "$R10_TMP/crates/nn/src/simd" "$R10_TMP/crates/geo/src"
 printf '[workspace]\nmembers = ["crates/*"]\n' > "$R10_TMP/Cargo.toml"
 printf '[package]\nname = "lead-nn"\n\n[package.metadata.lead]\nclass = "result-lib"\n' \
     > "$R10_TMP/crates/nn/Cargo.toml"
-printf '//! N.\n#![deny(unsafe_code)]\n#![deny(missing_docs)]\n' > "$R10_TMP/crates/nn/src/lib.rs"
+printf '//! N.\n#![deny(unsafe_code)]\n#![deny(missing_docs)]\n#![deny(unreachable_pub)]\n#![deny(clippy::disallowed_types)]\n#![deny(clippy::missing_errors_doc)]\n' \
+    > "$R10_TMP/crates/nn/src/lib.rs"
 # Planted violation 1: an un-SAFETY'd unsafe site inside the sanctioned module.
 printf '//! K.\n\nfn f(p: *const f32) -> f32 {\n    unsafe { *p }\n}\n' \
     > "$R10_TMP/crates/nn/src/simd/kernel.rs"
@@ -78,7 +81,7 @@ mkdir -p "$R12_TMP/crates/eval/src"
 printf '[workspace]\nmembers = ["crates/*"]\n' > "$R12_TMP/Cargo.toml"
 printf '[package]\nname = "lead-eval"\n\n[package.metadata.lead]\nclass = "result-lib"\n' \
     > "$R12_TMP/crates/eval/Cargo.toml"
-printf '//! E.\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n\n/// Entry.\npub fn entry(o: Option<u32>) -> u32 {\n    helper(o)\n}\n\nfn helper(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\n' \
+printf '//! E.\n#![forbid(unsafe_code)]\n#![deny(missing_docs)] #![deny(clippy::disallowed_types)]\n\n/// Entry.\npub fn entry(o: Option<u32>) -> u32 {\n    helper(o)\n}\n\nfn helper(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\n' \
     > "$R12_TMP/crates/eval/src/lib.rs"
 if cargo run -q -p lead-lint --release -- --root "$R12_TMP" > "$R12_TMP/out.txt"; then
     echo "lead-lint R12 self-test failed: planted panic path was NOT caught"
@@ -105,7 +108,7 @@ mkdir -p "$R13_TMP/crates/eval/src" "$R13_TMP/crates/synth/src"
 printf '[workspace]\nmembers = ["crates/*"]\n' > "$R13_TMP/Cargo.toml"
 printf '[package]\nname = "lead-eval"\n\n[package.metadata.lead]\nclass = "result-lib"\n\n[dependencies]\nlead-synth = { path = "../synth" }\n' \
     > "$R13_TMP/crates/eval/Cargo.toml"
-printf '//! E.\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n\n/// Entry.\npub fn entry() -> u64 {\n    lead_synth::now_ms()\n}\n' \
+printf '//! E.\n#![forbid(unsafe_code)]\n#![deny(missing_docs)] #![deny(clippy::disallowed_types)]\n\n/// Entry.\npub fn entry() -> u64 {\n    lead_synth::now_ms()\n}\n' \
     > "$R13_TMP/crates/eval/src/lib.rs"
 printf '[package]\nname = "lead-synth"\n\n[package.metadata.lead]\nclass = "lib"\n' \
     > "$R13_TMP/crates/synth/Cargo.toml"
@@ -155,12 +158,132 @@ fi
 echo "==> bench-ratchet self-test (the gate must catch a planted regression)"
 cargo run -q -p lead-bench --release --bin bench_ratchet -- --self-test
 
-echo "==> bench-ratchet gate (results/BENCH_10.json vs bench.baseline)"
+echo "==> bench-ratchet gate (target/ci/bench.json vs bench.baseline)"
 cargo run -q -p lead-bench --release --bin bench_ratchet -- \
-    --write results/BENCH_10.json --baseline bench.baseline
+    --write target/ci/bench.json --baseline bench.baseline
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Planted clippy self-test. The hash-order, thread-spawn, wall-clock and
+# missing-doc checks (former lead-lint R1, R3, R5, R6) and R8's `# Errors`
+# half live in clippy.toml, [workspace.lints] and the crate-root attributes.
+# A throwaway crate with lead-core's root attributes and the workspace's
+# clippy lint levels must trip each of them once per planted line, and the
+# `#[expect]`-waived lines must stay quiet.
+echo "==> clippy self-test (planted determinism and doc violations must fail)"
+CL_TMP="target/tmp/clippy-selftest"
+rm -rf "$CL_TMP"
+mkdir -p "$CL_TMP/src"
+{
+    printf '[package]\nname = "planted"\nversion = "0.0.0"\nedition = "2021"\n\n[workspace]\n\n'
+    sed -n '/^\[workspace\.lints\.clippy\]/,/^$/p' Cargo.toml | sed 's/^\[workspace\.lints\.clippy\]/[lints.clippy]/'
+} > "$CL_TMP/Cargo.toml"
+{
+    printf '//! Planted violations: every line not under an `#[expect]` must trip a lint.\n'
+    grep '^#!\[' crates/core/src/lib.rs
+    cat <<'RUST'
+#![expect(dead_code, reason = "planted items are never called")]
+
+use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::time::Instant;
+
+fn hash_order_fires() -> usize {
+    HashMap::<u32, u32>::new().len()
+}
+
+#[expect(clippy::disallowed_types, reason = "keys are sorted before iteration")]
+fn hash_order_waived() -> HashMap<u32, u32> {
+    let _ = HashMap::<u8, u8>::new();
+    HashMap::new()
+}
+
+fn hash_order_clean(m: &BTreeMap<u32, u32>) -> usize {
+    m.len()
+}
+
+pub fn undocumented() {}
+
+/// Documented: fine.
+pub fn documented() {}
+
+pub struct Bare;
+
+/// Documented struct with an attribute between doc and item: fine.
+#[derive(Debug, Clone)]
+pub struct Attributed {
+    /// Field docs.
+    pub field: u32,
+}
+
+pub const LIMIT: usize = 8;
+
+#[expect(missing_docs, reason = "documented at the definition site")]
+pub fn waived_item() {}
+
+fn private_needs_no_docs() {}
+
+mod private {
+    pub fn hidden() {}
+}
+
+fn thread_spawn_fires() {
+    let h = std::thread::spawn(|| 1 + 1);
+    let _ = h.join();
+    std::thread::scope(|_s| {});
+    let _ = std::thread::Builder::new();
+}
+
+#[expect(clippy::disallowed_methods, reason = "watchdog thread, never touches results")]
+fn thread_spawn_waived() {
+    std::thread::spawn(|| ());
+}
+
+fn wall_clock_fires() -> u64 {
+    let t = std::time::SystemTime::now();
+    let _ = t;
+    0
+}
+
+#[expect(clippy::disallowed_types, reason = "progress logging only")]
+fn wall_clock_waived() {
+    let _t = Instant::now();
+}
+
+/// Parses a number.
+pub fn parse(s: &str) -> Result<u32, std::num::ParseIntError> {
+    s.parse()
+}
+
+/// Clean: the expectation below is never met.
+#[expect(clippy::disallowed_types, reason = "nothing here uses a banned type")]
+pub fn unused_expect() {}
+
+#[allow(clippy::needless_return)]
+fn bare_allow() {}
+RUST
+} > "$CL_TMP/src/lib.rs"
+if CLIPPY_CONF_DIR="$PWD" cargo clippy -q --offline --manifest-path "$CL_TMP/Cargo.toml" \
+    --message-format=json -- -D warnings > "$CL_TMP/out.json" 2> "$CL_TMP/err.txt"; then
+    echo "clippy self-test failed: planted violations were NOT caught"
+    exit 1
+fi
+# Expected diagnostics per lint: the HashMap import and use, the Instant
+# import and SystemTime::now; spawn, scope and Builder::new; three
+# undocumented pub items; one each for the rest. The one unfulfilled
+# expectation is the planted unused `#[expect]`, so every waiver held.
+for want in clippy::disallowed_types=4 clippy::disallowed_methods=3 missing_docs=3 \
+    unreachable_pub=1 clippy::missing_errors_doc=1 unfulfilled_lint_expectations=1 \
+    clippy::allow_attributes=1 clippy::allow_attributes_without_reason=1; do
+    lint="${want%=*}"
+    got="$(grep -c "\"code\":{\"code\":\"$lint\"" "$CL_TMP/out.json" || true)"
+    if [ "$got" != "${want#*=}" ]; then
+        echo "clippy self-test failed: expected ${want#*=} $lint diagnostic(s), got $got"
+        cat "$CL_TMP/err.txt"
+        exit 1
+    fi
+done
 
 # Deterministic artifact listing: uploads of results/ must not depend on
 # filesystem enumeration order or locale.
