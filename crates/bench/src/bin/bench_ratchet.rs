@@ -19,41 +19,28 @@
 //!   its serialisation. Exits non-zero if the ratchet machinery itself is
 //!   broken.
 //!
-//! Environment: `BENCH_RATCHET_SAMPLE_MS` (per-bench budget, default 150),
-//! `BENCH_RATCHET_MAX_RATIO` (headroom, default 3.0 — generous because CI
-//! machines vary; the ratchet exists to catch order-of-magnitude
-//! regressions like an O(n) path going O(n²), not 10 % noise).
+//! Each bench gets a [`SAMPLE_MS`] budget and the gate allows
+//! [`MAX_RATIO`] headroom (both in `lead_bench::ratchet`).
 
+use lead_baselines::Whitelist;
 use lead_bench::ratchet::{
-    compare, fingerprint, measure, parse_json, render_json, BenchRecord, SCHEMA,
+    compare, fingerprint, measure, parse_json, render_json, BenchRecord, MAX_RATIO, SAMPLE_MS,
+    SCHEMA,
 };
 use lead_core::config::LeadConfig;
-use lead_core::detection::{build_groups, GroupDetector};
+use lead_core::detection::{build_groups, GroupDetector, MlpDetector};
 use lead_core::encoding::{Autoencoder, EncoderKind};
 use lead_core::features::{TrajectoryFeatures, FEATURE_DIM};
 use lead_core::processing::{enumerate_candidates, ProcessedTrajectory};
 use lead_core::streaming::IncrementalStayExtractor;
 use lead_data::records::{TrajectoryReader, TrajectoryWriter};
+use lead_geo::distance::{equirectangular_m, haversine_m};
 use lead_geo::GpsPoint;
 use lead_nn::Matrix;
 use lead_synth::{generate_dataset, SynthConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Writes a deterministic synthetic lint corpus (NOT the real tree, whose
 /// size changes every PR and would churn the ratchet) under the OS temp
@@ -138,9 +125,19 @@ fn callgraph_corpus() -> Vec<(String, String)> {
     files
 }
 
-/// Runs the calibrated suite: processing, encoding, detection, streaming,
-/// lint scanning, and SIMD dispatch.
-fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
+/// Sums `dist` over `pairs`, hiding each input from the optimiser.
+fn sum_distances(pairs: &[(f64, f64, f64, f64)], dist: impl Fn(f64, f64, f64, f64) -> f64) -> f64 {
+    let bb = std::hint::black_box::<f64>;
+    pairs
+        .iter()
+        .map(|&(a, b, c, d)| dist(bb(a), bb(b), bb(c), bb(d)))
+        .sum()
+}
+
+/// Runs the calibrated suite: distances, processing, POI and whitelist
+/// queries, encoding, detection, streaming, data codecs, lint scanning, and
+/// SIMD dispatch.
+fn run_suite() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     let mut push = |name: &str, fp_desc: String, median_iters: (u64, u64)| {
         println!(
@@ -154,6 +151,34 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
             fingerprint: fingerprint(&fp_desc),
         });
     };
+
+    // ---- geo: exact vs fast-path distance over the same pairs -------------
+    let pairs: Vec<(f64, f64, f64, f64)> = (0..1024)
+        .map(|i| {
+            let f = f64::from(i);
+            (
+                32.0 + (f * 0.37).sin() * 0.2,
+                120.9 + (f * 0.73).cos() * 0.2,
+                32.0 + (f * 0.11).cos() * 0.2,
+                120.9 + (f * 0.29).sin() * 0.2,
+            )
+        })
+        .collect();
+    let pairs_desc = "pairs=1024 lat=32.0 lng=120.9 spread=0.2 salts=0.37,0.73,0.11,0.29";
+    push(
+        "geo/haversine_1024_pairs",
+        format!("{pairs_desc} fn=haversine"),
+        measure(SAMPLE_MS, || {
+            std::hint::black_box(sum_distances(&pairs, haversine_m));
+        }),
+    );
+    push(
+        "geo/equirectangular_1024_pairs",
+        format!("{pairs_desc} fn=equirectangular"),
+        measure(SAMPLE_MS, || {
+            std::hint::black_box(sum_distances(&pairs, equirectangular_m));
+        }),
+    );
 
     // ---- fixed fleet -------------------------------------------------------
     let mut synth = SynthConfig::tiny();
@@ -176,9 +201,72 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
             "seed={} trucks={} days={} d_max={} t_min={}",
             synth.seed, synth.num_trucks, synth.days_per_truck, cfg.d_max_m, cfg.t_min_s
         ),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             for raw in &raws {
                 std::hint::black_box(ProcessedTrajectory::from_raw(raw, &cfg));
+            }
+        }),
+    );
+
+    // ---- poi + baselines: grid index vs linear scan, 256 radius queries ----
+    // A denser city than the fleet's, so the scan's cost shows.
+    let mut poi_synth = SynthConfig::tiny();
+    poi_synth.num_background_pois = 3_000;
+    let city = generate_dataset(&poi_synth).city;
+    let queries: Vec<(f64, f64)> = (0..256)
+        .map(|i| {
+            let f = f64::from(i);
+            (
+                32.0 + (f * 0.17).sin() * 0.15,
+                120.9 + (f * 0.31).cos() * 0.15,
+            )
+        })
+        .collect();
+    let city_desc = format!(
+        "seed={} background_pois={} queries=256",
+        poi_synth.seed, poi_synth.num_background_pois
+    );
+    push(
+        "poi/category_counts_grid_256",
+        format!("{city_desc} radius_m=100 index=grid"),
+        measure(SAMPLE_MS, || {
+            for &(lat, lng) in &queries {
+                std::hint::black_box(city.poi_db.category_counts_within(lat, lng, 100.0));
+            }
+        }),
+    );
+    push(
+        "poi/category_counts_scan_256",
+        format!("{city_desc} radius_m=100 index=scan"),
+        measure(SAMPLE_MS, || {
+            for &(lat, lng) in &queries {
+                std::hint::black_box(city.poi_db.category_counts_within_scan(lat, lng, 100.0));
+            }
+        }),
+    );
+    // SP-R's whitelist membership at its 500 m radius.
+    let wl = Whitelist::from_locations(
+        city.loading_sites
+            .iter()
+            .chain(&city.unloading_sites)
+            .map(|s| (s.lat, s.lng))
+            .collect(),
+    );
+    push(
+        "baselines/whitelist_grid_256",
+        format!("{city_desc} radius_m=500 index=grid"),
+        measure(SAMPLE_MS, || {
+            for &(lat, lng) in &queries {
+                std::hint::black_box(wl.contains_near_indexed(lat, lng, 500.0));
+            }
+        }),
+    );
+    push(
+        "baselines/whitelist_scan_256",
+        format!("{city_desc} radius_m=500 index=scan"),
+        measure(SAMPLE_MS, || {
+            for &(lat, lng) in &queries {
+                std::hint::black_box(wl.contains_near_scan(lat, lng, 500.0));
             }
         }),
     );
@@ -202,8 +290,21 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
             "n=8 len_sp=10 len_mp=14 dim={FEATURE_DIM} cands={} rng=9",
             cands.len()
         ),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             std::hint::black_box(hier.encode_all(&tf, &cands, 1));
+        }),
+    );
+    // The same 28 candidates encoded one by one, without the shared cache.
+    push(
+        "encoding/encode_value_28_candidates",
+        format!(
+            "n=8 len_sp=10 len_mp=14 dim={FEATURE_DIM} cands={} rng=9 per-candidate",
+            cands.len()
+        ),
+        measure(SAMPLE_MS, || {
+            for &cand in &cands {
+                std::hint::black_box(hier.encode_value(&tf.candidate(cand)));
+            }
         }),
     );
 
@@ -228,9 +329,20 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
     push(
         "detection/stacked_bilstm_n14",
         format!("n=14 dim={dim} rng=21"),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             let refs: Vec<Vec<&Matrix>> = cvecs.iter().map(|s| s.iter().collect()).collect();
             std::hint::black_box(det.probabilities(&refs));
+        }),
+    );
+    // The NoGro ablation: one MLP per candidate over the same c-vecs.
+    let mut rng = StdRng::seed_from_u64(22);
+    let mlp = MlpDetector::new(dim, &mut rng);
+    let flat: Vec<Matrix> = cvecs.iter().flatten().cloned().collect();
+    push(
+        "detection/mlp_nogro_n14",
+        format!("n=14 dim={dim} cands={} rng=22", flat.len()),
+        measure(SAMPLE_MS, || {
+            std::hint::black_box(mlp.probabilities(&flat));
         }),
     );
 
@@ -250,7 +362,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
             "points=5000 interval=15 d_max={} t_min={}",
             cfg.d_max_m, cfg.t_min_s
         ),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             let mut ex = IncrementalStayExtractor::new(cfg.d_max_m, cfg.t_min_s);
             for i in 0..dwell.len() {
                 std::hint::black_box(ex.on_point_appended(&dwell[..=i]));
@@ -292,7 +404,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
             "trucks=10 points_per=1000 mode=fixed bytes={}",
             bin_bytes.len()
         ),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             let mut r = TrajectoryReader::new(std::io::Cursor::new(&bin_bytes))
                 .expect("open bench container");
             while let Some(item) = r.next_record().expect("decode bench record") {
@@ -312,7 +424,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
     push(
         "data/convert_csv_10k",
         format!("trucks=10 points_per=1000 csv_bytes={}", csv_text.len()),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             let reader =
                 lead_geo::csv::CsvReader::new(csv_text.as_bytes()).expect("open bench CSV");
             let mut w = TrajectoryWriter::new(std::io::Cursor::new(Vec::new()))
@@ -332,7 +444,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
     push(
         "lint/scan_workspace_24_files",
         "crates=2 files_per=11 lines_per=~160 corpus=v1".to_string(),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             std::hint::black_box(lead_lint::scan_workspace(&corpus).expect("corpus scan succeeds"));
         }),
     );
@@ -354,7 +466,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
     push(
         "lint/callgraph_workspace",
         "crates=2 files_per=8 chain=20 corpus=v1".to_string(),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             let files: Vec<lead_lint::callgraph::SourceFile<'_>> = cg_views
                 .iter()
                 .map(|(rel, source, view)| lead_lint::callgraph::SourceFile { rel, source, view })
@@ -373,7 +485,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
     push(
         "simd/dot_16384_dispatch",
         "len=16384 lanes=8 blocked-mul-add".to_string(),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             use lead_nn::simd::Kernel;
             std::hint::black_box(backend.dot(&xs, &ys));
         }),
@@ -390,7 +502,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
     push(
         "simd/matmul_64x64x64_dispatch",
         "m=64 k=64 n=64 i-k-j axpy zero-skip".to_string(),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             use lead_nn::simd::Kernel;
             out64.fill(0.0);
             backend.matmul_acc(&a64, &b64, &mut out64, 64, 64, 64);
@@ -405,7 +517,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
     push(
         "simd/gate_row_4096_dispatch",
         "len=4096 sigmoid-gate vec-add scalar-exp".to_string(),
-        measure(sample_ms, || {
+        measure(SAMPLE_MS, || {
             use lead_nn::simd::Kernel;
             backend.sigmoid_gate(&pre, &bias, &mut gate_out);
             std::hint::black_box(&gate_out);
@@ -418,7 +530,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
 /// Verifies the ratchet machinery on synthetic records: a regression is
 /// caught, a changed fingerprint goes stale instead of regressing, new and
 /// removed benches are reported, and the serialisation round-trips.
-fn self_test(max_ratio: f64) -> Result<(), String> {
+fn self_test() -> Result<(), String> {
     let rec = |name: &str, median_ns: u64, fp: &str| BenchRecord {
         name: name.to_string(),
         median_ns,
@@ -436,15 +548,15 @@ fn self_test(max_ratio: f64) -> Result<(), String> {
     let current = vec![
         rec(
             "a/slow_path",
-            (1_000_000.0 * max_ratio * 4.0) as u64,
+            (1_000_000.0 * MAX_RATIO * 4.0) as u64,
             "fp-a",
         ),
-        rec("b/stable", (500_000.0 * max_ratio * 0.9) as u64, "fp-b"),
+        rec("b/stable", (500_000.0 * MAX_RATIO * 0.9) as u64, "fp-b"),
         rec("c/reworked", 40_000_000, "fp-c-new"),
         rec("e/brand_new", 100_000, "fp-e"),
     ];
 
-    let report = compare(&current, &baseline, max_ratio);
+    let report = compare(&current, &baseline, MAX_RATIO);
     if report.passed() {
         return Err("synthetic regression was NOT detected".into());
     }
@@ -487,11 +599,8 @@ fn main() -> ExitCode {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let sample_ms = env_u64("BENCH_RATCHET_SAMPLE_MS", 150);
-    let max_ratio = env_f64("BENCH_RATCHET_MAX_RATIO", 3.0);
-
     if args.iter().any(|a| a == "--self-test") {
-        return match self_test(max_ratio) {
+        return match self_test() {
             Ok(()) => {
                 println!("ratchet self-test passed (synthetic regression detected)");
                 ExitCode::SUCCESS
@@ -513,8 +622,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    println!("{SCHEMA}: sample budget {sample_ms} ms/bench, headroom {max_ratio:.2}x");
-    let records = run_suite(sample_ms);
+    println!("{SCHEMA}: sample budget {SAMPLE_MS} ms/bench, headroom {MAX_RATIO:.2}x");
+    let records = run_suite();
     let rendered = render_json(&records);
 
     for path in [&write_path, &update_path].into_iter().flatten() {
@@ -542,8 +651,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let report = compare(&records, &baseline, max_ratio);
-        print!("{}", report.render(max_ratio));
+        let report = compare(&records, &baseline, MAX_RATIO);
+        print!("{}", report.render(MAX_RATIO));
         if !report.passed() {
             eprintln!("bench-ratchet gate FAILED");
             return ExitCode::FAILURE;

@@ -1,4 +1,4 @@
-//! Shared scaffolding for the experiment binaries and Criterion benchmarks.
+//! Shared scaffolding for the experiment binaries and the perf ratchet.
 //!
 //! Every table and figure of the paper has a binary here (see DESIGN.md §4):
 //!
@@ -16,8 +16,7 @@
 //! and IoU under each named GPS pathology of `lead_synth::scenario`), and
 //! `bench_ratchet` runs the calibrated perf suite against `bench.baseline`.
 //!
-//! Two diagnostic binaries support development: `calibrate` (stage-by-stage
-//! wall-clock on the current machine) and `probe` (loss curves and
+//! One diagnostic binary supports development: `probe` (loss curves and
 //! detected-vs-truth dumps at an arbitrary scale).
 //!
 //! Binaries accept a scale argument (`tiny` / `quick` / `full`, default

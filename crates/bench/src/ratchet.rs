@@ -20,7 +20,7 @@
 //!   headroom ratio. Only fingerprint-matched entries can regress; new,
 //!   removed, and refingerprinted benches are reported separately.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -30,6 +30,15 @@ pub const SCHEMA: &str = "bench-ratchet/v1";
 /// Regressions smaller than this many nanoseconds never fail the ratchet,
 /// whatever the ratio: sub-microsecond benches flap on cache noise alone.
 pub const MIN_REGRESSION_DELTA_NS: u64 = 10_000;
+
+/// Per-bench wall budget handed to [`measure`], milliseconds.
+pub const SAMPLE_MS: u64 = 150;
+
+/// Headroom ratio of the gate: a bench regresses only past
+/// `baseline × MAX_RATIO`. Generous because machines vary; the ratchet
+/// exists to catch complexity-class regressions like an O(n) path going
+/// O(n²), not 10 % noise.
+pub const MAX_RATIO: f64 = 3.0;
 
 /// One bench's measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,12 +111,15 @@ pub fn render_json(records: &[BenchRecord]) -> String {
 ///
 /// This is deliberately *not* a general JSON parser: the ratchet only ever
 /// reads files it (or a past run of it) wrote, and the golden test pins the
-/// canonical shape. Anything else is a loud error.
+/// canonical shape. Anything else is a loud error, including a repeated
+/// bench name, which [`compare`] would otherwise resolve by silently
+/// dropping all but the last entry.
 pub fn parse_json(s: &str) -> Result<Vec<BenchRecord>, String> {
     if !s.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
         return Err(format!("not a {SCHEMA} file"));
     }
     let mut out = Vec::new();
+    let mut seen = BTreeSet::new();
     for line in s.lines() {
         let line = line.trim();
         let Some(rest) = line.strip_prefix('"') else {
@@ -119,6 +131,9 @@ pub fn parse_json(s: &str) -> Result<Vec<BenchRecord>, String> {
         let (name, fields) = rest
             .split_once('"')
             .ok_or_else(|| format!("unterminated bench name in `{line}`"))?;
+        if !seen.insert(name) {
+            return Err(format!("duplicate bench name `{name}`"));
+        }
         out.push(BenchRecord {
             name: name.to_string(),
             median_ns: field_u64(fields, "median_ns")?,

@@ -56,6 +56,18 @@ fn parse_rejects_foreign_files() {
     // Right schema tag but no entries is still an error, not an empty pass.
     let empty = "{\n  \"schema\": \"bench-ratchet/v1\",\n  \"benches\": {\n  }\n}\n";
     assert!(parse_json(empty).is_err());
+    // A repeated name is an error, not a silent last-entry-wins merge.
+    let dup = "{\n  \"schema\": \"bench-ratchet/v1\",\n  \"benches\": {\n\
+        \x20   \"a\": { \"median_ns\": 1, \"iters\": 1, \"fingerprint\": \"fp\" },\n\
+        \x20   \"a\": { \"median_ns\": 9, \"iters\": 1, \"fingerprint\": \"fp\" }\n  }\n}\n";
+    assert!(parse_json(dup).unwrap_err().contains("duplicate"));
+}
+
+#[test]
+fn checked_in_baseline_is_canonical() -> Result<(), String> {
+    let baseline = include_str!("../../../bench.baseline");
+    assert_eq!(render_json(&parse_json(baseline)?), baseline);
+    Ok(())
 }
 
 #[test]

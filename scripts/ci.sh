@@ -158,9 +158,15 @@ fi
 echo "==> bench-ratchet self-test (the gate must catch a planted regression)"
 cargo run -q -p lead-bench --release --bin bench_ratchet -- --self-test
 
+# A STALE or NEW line means the suite and bench.baseline have drifted
+# apart: a workload was added, removed or reshaped without re-recording it.
 echo "==> bench-ratchet gate (target/ci/bench.json vs bench.baseline)"
 cargo run -q -p lead-bench --release --bin bench_ratchet -- \
-    --write target/ci/bench.json --baseline bench.baseline
+    --write target/ci/bench.json --baseline bench.baseline | tee target/ci/bench-gate.txt
+if grep -qE '^(STALE|NEW) ' target/ci/bench-gate.txt; then
+    echo "bench-ratchet gate failed: bench.baseline is out of step with the suite"
+    exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
