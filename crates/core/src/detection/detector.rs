@@ -83,14 +83,24 @@ impl GroupDetector {
     }
 
     /// The flat probability distribution over one group, as values, on the
-    /// tape-free inference path: all subgroups run through the stacked
-    /// BiLSTM as one ragged batch, reading the weights in place. Each
-    /// subgroup is still its own sequence, so the result is bit-identical to
-    /// [`Self::forward_graph`].
+    /// tape-free inference path: the global softmax of [`Self::logits`].
+    /// The result is bit-identical to [`Self::forward_graph`].
     ///
     /// # Panics
     /// Panics if the group or any subgroup is empty.
     pub fn probabilities(&self, subgroups: &[Vec<&Matrix>]) -> Vec<f32> {
+        softmax(&self.logits(subgroups))
+    }
+
+    /// The logit of every candidate of one group, in subgroup-concatenation
+    /// order: all subgroups run through the stacked BiLSTM as one ragged
+    /// batch, reading the weights in place. Each subgroup is still its own
+    /// sequence, so a subgroup's logits do not depend on which other
+    /// subgroups share the batch.
+    ///
+    /// # Panics
+    /// Panics if the group or any subgroup is empty.
+    pub fn logits(&self, subgroups: &[Vec<&Matrix>]) -> Vec<f32> {
         assert!(!subgroups.is_empty(), "empty group");
         assert!(subgroups.iter().all(|s| !s.is_empty()), "empty subgroup");
         let rows: Vec<&Matrix> = subgroups.iter().flatten().copied().collect();
@@ -98,11 +108,7 @@ impl GroupDetector {
         let hs = self
             .stack
             .infer(&self.params, &Matrix::concat_rows(&rows), &lens);
-        let logits = self.out.infer(&self.params, &hs);
-        Matrix::from_vec(1, logits.rows(), logits.data().to_vec())
-            .softmax_rows()
-            .data()
-            .to_vec()
+        self.out.infer(&self.params, &hs).data().to_vec()
     }
 
     /// Trains against ε-smoothed labels with the KLD loss (Equations
@@ -276,6 +282,15 @@ fn forward_graph_parts(
     g.softmax_rows(row)
 }
 
+/// The global softmax of a group's flat logits (see
+/// [`GroupDetector::forward_graph`]).
+pub(crate) fn softmax(logits: &[f32]) -> Vec<f32> {
+    Matrix::from_vec(1, logits.len(), logits.to_vec())
+        .softmax_rows()
+        .data()
+        .to_vec()
+}
+
 /// Standard normal sample (Box–Muller) for the c-vec augmentation.
 fn gauss<R: Rng>(rng: &mut R) -> f32 {
     let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
@@ -415,6 +430,41 @@ mod tests {
                     .map(|v| v.to_bits())
                     .collect();
                 assert_eq!(got, want, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn group_logits_are_the_concatenated_subgroup_logits() {
+        // Streaming reuses the logits of closed backward subgroups, which is
+        // exact only if a subgroup's logits do not depend on the rest of the
+        // batch.
+        let c = cfg();
+        let mut rng = StdRng::seed_from_u64(29);
+        let det = GroupDetector::new(&c, 8, &mut rng);
+        for n in 2..=14 {
+            let groups = build_groups(n);
+            for side in [&groups.forward, &groups.backward] {
+                let cvecs: Vec<Vec<Matrix>> = side
+                    .iter()
+                    .map(|sub| {
+                        sub.iter()
+                            .map(|cand| {
+                                Matrix::from_fn(1, 8, |_, k| {
+                                    ((cand.start_sp * 7 + cand.end_sp * 11 + k) as f32 * 0.29).cos()
+                                })
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let refs: Vec<Vec<&Matrix>> = cvecs.iter().map(|s| s.iter().collect()).collect();
+                let whole: Vec<u32> = det.logits(&refs).iter().map(|v| v.to_bits()).collect();
+                let alone: Vec<u32> = refs
+                    .iter()
+                    .flat_map(|sub| det.logits(std::slice::from_ref(sub)))
+                    .map(f32::to_bits)
+                    .collect();
+                assert_eq!(whole, alone, "n={n}");
             }
         }
     }

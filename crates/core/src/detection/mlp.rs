@@ -69,8 +69,8 @@ impl MlpDetector {
     }
 
     /// Probabilities of a whole candidate list (still independent scores).
-    pub fn probabilities(&self, c_vecs: &[Matrix]) -> Vec<f32> {
-        c_vecs.iter().map(|c| self.probability(c)).collect()
+    pub fn probabilities<'a>(&self, c_vecs: impl IntoIterator<Item = &'a Matrix>) -> Vec<f32> {
+        c_vecs.into_iter().map(|c| self.probability(c)).collect()
     }
 
     /// Trains with per-candidate binary cross-entropy: the loaded candidate

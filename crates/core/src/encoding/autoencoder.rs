@@ -357,8 +357,9 @@ impl Autoencoder {
     }
 
     /// Encodes every candidate of a trajectory on the tape-free inference
-    /// path, sharing work across candidates. The result for each candidate
-    /// is bit-identical to [`Self::encode_value`].
+    /// path, sharing work across candidates: phase 1 over every segment,
+    /// then phase 2 over `candidates`. The result for each candidate is
+    /// bit-identical to [`Self::encode_value`].
     ///
     /// Two structures make the sharing exact:
     /// - a candidate's `c-vec` depends on its stay/move points only through
@@ -383,6 +384,46 @@ impl Autoencoder {
         if candidates.is_empty() {
             return Vec::new();
         }
+        let p1 = self.phase1(&tf.sp_seqs, &tf.mp_seqs);
+        self.phase2(tf, &p1, candidates, num_threads)
+    }
+
+    /// Phase 1 of the hierarchical compressor over a run of segments: the
+    /// stay sequences as one batch, the move sequences as another. Each row
+    /// depends on its own sequence only, so the rows of consecutive runs,
+    /// appended with [`Phase1Rows::append`], equal those of one run over all
+    /// of them. The flat encoder has no phase 1 and returns empty rows.
+    pub(crate) fn phase1(&self, sp_seqs: &[Matrix], mp_seqs: &[Matrix]) -> Phase1Rows {
+        let Arch::Hierarchical {
+            comp_sp1, comp_mp1, ..
+        } = &self.arch
+        else {
+            return Phase1Rows::default();
+        };
+        let rows = |op: &CompressionOperator, seqs: &[Matrix]| {
+            if seqs.is_empty() {
+                Matrix::zeros(0, op.out_dim())
+            } else {
+                op.infer_batch(&self.params, seqs)
+            }
+        };
+        Phase1Rows {
+            sp: rows(comp_sp1, sp_seqs),
+            mp: rows(comp_mp1, mp_seqs),
+        }
+    }
+
+    /// Phase 2 of the compressor for `candidates`, in candidate order, from
+    /// the phase-1 rows `p1` of every segment of `tf` (the flat encoder
+    /// reads the features of `tf` instead). Candidates sharing a start share
+    /// one LSTM run over their longest prefix (see [`Self::encode_all`]).
+    pub(crate) fn phase2(
+        &self,
+        tf: &TrajectoryFeatures,
+        p1: &Phase1Rows,
+        candidates: &[Candidate],
+        num_threads: usize,
+    ) -> Vec<Matrix> {
         let ps = &self.params;
         // Candidate indexes grouped by start, each group in candidate order.
         let mut by_start: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -397,23 +438,14 @@ impl Autoencoder {
             .collect();
         let per_start: Vec<Matrix> = match &self.arch {
             Arch::Hierarchical {
-                comp_sp1,
-                comp_mp1,
-                comp_sp2,
-                comp_mp2,
-                ..
-            } => {
-                let sp_vals = comp_sp1.infer_batch(ps, &tf.sp_seqs);
-                let mp_vals = comp_mp1.infer_batch(ps, &tf.mp_seqs);
-                lead_nn::par::par_map(num_threads, &groups, |_, &(i, last, ref ks)| {
-                    let sp_lens: Vec<usize> = ks.iter().map(|k| end_of(k) - i + 1).collect();
-                    let mp_lens: Vec<usize> = ks.iter().map(|k| end_of(k) - i).collect();
-                    let sp =
-                        comp_sp2.infer_prefixes(ps, &sp_vals.slice_rows(i, last + 1), &sp_lens);
-                    let mp = comp_mp2.infer_prefixes(ps, &mp_vals.slice_rows(i, last), &mp_lens);
-                    Matrix::concat_cols(&[&sp, &mp])
-                })
-            }
+                comp_sp2, comp_mp2, ..
+            } => lead_nn::par::par_map(num_threads, &groups, |_, &(i, last, ref ks)| {
+                let sp_lens: Vec<usize> = ks.iter().map(|k| end_of(k) - i + 1).collect();
+                let mp_lens: Vec<usize> = ks.iter().map(|k| end_of(k) - i).collect();
+                let sp = comp_sp2.infer_prefixes(ps, &p1.sp.slice_rows(i, last + 1), &sp_lens);
+                let mp = comp_mp2.infer_prefixes(ps, &p1.mp.slice_rows(i, last), &mp_lens);
+                Matrix::concat_cols(&[&sp, &mp])
+            }),
             Arch::Flat { comp, .. } => {
                 lead_nn::par::par_map(num_threads, &groups, |_, &(i, last, ref ks)| {
                     // Rows of the interleaved sequence up to and including sp_j.
@@ -439,6 +471,37 @@ impl Autoencoder {
             .collect();
         out.sort_by_key(|&(k, _)| k);
         out.into_iter().map(|(_, c_vec)| c_vec).collect()
+    }
+}
+
+/// The hierarchical compressor's phase-1 rows ([`Autoencoder::phase1`]): row
+/// `k` of `sp` compresses stay sequence `k`, row `k` of `mp` move sequence
+/// `k`. Empty for the flat encoder.
+#[derive(Debug, Clone)]
+pub(crate) struct Phase1Rows {
+    sp: Matrix,
+    mp: Matrix,
+}
+
+impl Default for Phase1Rows {
+    fn default() -> Self {
+        Self {
+            sp: Matrix::zeros(0, 0),
+            mp: Matrix::zeros(0, 0),
+        }
+    }
+}
+
+impl Phase1Rows {
+    /// Appends the rows of the segments that follow these.
+    pub(crate) fn append(&mut self, more: Phase1Rows) {
+        for (have, more) in [(&mut self.sp, more.sp), (&mut self.mp, more.mp)] {
+            if have.rows() == 0 {
+                *have = more;
+            } else if more.rows() > 0 {
+                *have = Matrix::concat_rows(&[have, &more]);
+            }
+        }
     }
 }
 
@@ -579,6 +642,42 @@ mod tests {
             assert_eq!(bits(cv), bits(&ae.encode_value(&tf.candidate(*c))));
         }
         assert!(ae.encode_all(&tf, &[], 1).is_empty());
+    }
+
+    #[test]
+    fn phase2_from_appended_phase1_rows_matches_encode_all() {
+        // Streaming appends the phase-1 rows of new segments to cached ones
+        // and encodes only the candidates ending at new stay points; each
+        // such c-vec must be `encode_all`'s, bit for bit.
+        let cfg = small_cfg();
+        let mut rng = StdRng::seed_from_u64(9);
+        for kind in [EncoderKind::Hierarchical, EncoderKind::Flat] {
+            for use_attention in [true, false] {
+                let ae = Autoencoder::new(&cfg, kind, use_attention, &mut rng);
+                let n = 9;
+                let tf = toy_trajectory(11, n);
+                let all = crate::processing::enumerate_candidates(n);
+                let want = ae.encode_all(&tf, &all, 1);
+                for have in 1..n {
+                    let mut p1 = ae.phase1(&tf.sp_seqs[..have], &tf.mp_seqs[..have - 1]);
+                    p1.append(ae.phase1(&tf.sp_seqs[have..], &tf.mp_seqs[have - 1..]));
+                    let (new, wanted): (Vec<Candidate>, Vec<&Matrix>) = all
+                        .iter()
+                        .zip(&want)
+                        .filter(|(c, _)| c.end_sp >= have)
+                        .unzip();
+                    let got = ae.phase2(&tf, &p1, &new, 2);
+                    assert_eq!(got.len(), wanted.len());
+                    for ((c, g), w) in new.iter().zip(&got).zip(wanted) {
+                        assert_eq!(
+                            bits(g),
+                            bits(w),
+                            "{kind:?} attention={use_attention} have={have} {c:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,5 +4,6 @@
 mod autoencoder;
 mod operator;
 
+pub(crate) use autoencoder::Phase1Rows;
 pub use autoencoder::{Autoencoder, EncoderKind};
 pub use operator::{CompressionOperator, DecompressionOperator};

@@ -230,7 +230,7 @@ impl<'a> FeatureExtractor<'a> {
 /// Extracting these once per trajectory and slicing per candidate avoids
 /// re-querying the POI index for every one of the `n(n−1)/2` candidates —
 /// each GPS point's features are computed exactly once.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrajectoryFeatures {
     /// Per-stay-point feature matrices, indexed like
     /// [`ProcessedTrajectory::stay_points`].
@@ -270,17 +270,7 @@ impl<'a> FeatureExtractor<'a> {
         proc: &ProcessedTrajectory,
         num_threads: usize,
     ) -> TrajectoryFeatures {
-        let n = proc.num_stay_points();
-        let sp_seqs = lead_nn::par::par_map(num_threads, &proc.stay_points, |_, sp| {
-            self.range_features(proc, sp.start, sp.end)
-        });
-        let mp_ranges: Vec<(usize, usize)> = (0..n.saturating_sub(1))
-            .map(|k| proc.move_point_range(k))
-            .collect();
-        let mp_seqs = lead_nn::par::par_map(num_threads, &mp_ranges, |_, &(a, b)| {
-            self.range_features(proc, a, b)
-        });
-        TrajectoryFeatures { sp_seqs, mp_seqs }
+        self.features_from(proc, 0, num_threads, &lead_obs::probe::NOOP)
     }
 
     /// [`Self::trajectory_features_par`] with an observability probe:
@@ -292,8 +282,34 @@ impl<'a> FeatureExtractor<'a> {
         num_threads: usize,
         probe: &dyn lead_obs::probe::Probe,
     ) -> TrajectoryFeatures {
+        self.features_from(proc, 0, num_threads, probe)
+    }
+
+    /// The features of the segments from stay point `from` on: stays
+    /// `from..n` and moves `from − 1..n − 1` (all of them for `from = 0`).
+    /// A segment's features read that segment's points only, so appending
+    /// these to the features of the first `from` stay points gives the
+    /// features of the whole trajectory. Records a `features` span and the
+    /// number of extracted rows.
+    pub(crate) fn features_from(
+        &self,
+        proc: &ProcessedTrajectory,
+        from: usize,
+        num_threads: usize,
+        probe: &dyn lead_obs::probe::Probe,
+    ) -> TrajectoryFeatures {
         let _span = lead_obs::clock::span(probe, "features");
-        let tf = self.trajectory_features_par(proc, num_threads);
+        let n = proc.num_stay_points();
+        let sp_seqs = lead_nn::par::par_map(num_threads, &proc.stay_points[from..], |_, sp| {
+            self.range_features(proc, sp.start, sp.end)
+        });
+        let mp_ranges: Vec<(usize, usize)> = (from.saturating_sub(1)..n.saturating_sub(1))
+            .map(|k| proc.move_point_range(k))
+            .collect();
+        let mp_seqs = lead_nn::par::par_map(num_threads, &mp_ranges, |_, &(a, b)| {
+            self.range_features(proc, a, b)
+        });
+        let tf = TrajectoryFeatures { sp_seqs, mp_seqs };
         if probe.enabled() {
             let rows: usize = tf
                 .sp_seqs

@@ -11,9 +11,9 @@
 use crate::config::{ConfigError, LeadConfig};
 use crate::detection::{
     argmax_candidate, backward_flat_order, build_groups, forward_flat_order, merge_probabilities,
-    smoothed_label, GroupDetector, MlpDetector,
+    smoothed_label, softmax, GroupDetector, MlpDetector,
 };
-use crate::encoding::{Autoencoder, EncoderKind};
+use crate::encoding::{Autoencoder, EncoderKind, Phase1Rows};
 use crate::error::LeadError;
 use crate::features::{FeatureExtractor, Normalizer, TrajectoryFeatures};
 use crate::label::{truth_stay_indices, TruthLabel};
@@ -785,17 +785,31 @@ impl Lead {
         results
     }
 
-    /// Scores an already-processed trajectory (used by [`Self::detect_opts`]
-    /// and by [`crate::streaming::StreamingDetector`], which maintains its
-    /// own incremental processing state).
+    /// Scores an already-processed trajectory (used by [`Self::detect_opts`]):
+    /// a fresh score state, extended once over every stay point, then
+    /// scored.
     pub fn detect_processed_opts(
         &self,
         proc: ProcessedTrajectory,
         poi_db: &PoiDatabase,
         opts: &DetectOptions<'_>,
     ) -> Option<DetectionResult> {
+        self.detect_extending(&mut ScoreState::default(), proc, poi_db, opts)
+    }
+
+    /// [`Self::detect_processed_opts`] on top of `state`, the scoring work of
+    /// an earlier call on a prefix of `proc`'s stay points (or a fresh
+    /// state): only the stay points `state` lacks are extended before
+    /// scoring. [`crate::streaming::StreamingDetector`] keeps one state per
+    /// stream. Results are bit-identical to a fresh state.
+    pub(crate) fn detect_extending(
+        &self,
+        state: &mut ScoreState,
+        proc: ProcessedTrajectory,
+        poi_db: &PoiDatabase,
+        opts: &DetectOptions<'_>,
+    ) -> Option<DetectionResult> {
         let probe = opts.probe;
-        let num_threads = opts.num_threads.unwrap_or(self.config.num_threads);
         let n = proc.num_stay_points();
         if n < 2 {
             if probe.enabled() {
@@ -807,79 +821,152 @@ impl Lead {
             probe.count("detect.calls", 1);
             probe.observe("detect.stay_points", n as f64);
         }
-        let mut fx = FeatureExtractor::new(poi_db, &self.config, self.options.use_poi);
-        fx.set_normalizer(self.normalizer.clone());
-        let tf = fx.trajectory_features_probed(&proc, num_threads, probe);
-        let cvecs = {
-            let _span = clock::span(probe, "encode");
-            self.autoencoder
-                .encode_all(&tf, &proc.candidates, num_threads)
-        };
-        let by_cand = candidate_index_map(n);
-
-        let score_span = clock::span(probe, "detect.score");
-        let probabilities = match self.options.detector {
-            DetectorChoice::Mlp => {
-                // lint: allow(panic, panic-path): construction invariant — fit() trains the detector selected by `options.detector`
-                let det = self.mlp.as_ref().expect("MLP detector trained");
-                det.probabilities(&cvecs)
-            }
-            choice => {
-                let groups = build_groups(n);
-                let run = |det: &GroupDetector, side: &[Vec<Candidate>]| -> Vec<f32> {
-                    let refs: Vec<Vec<&Matrix>> = side
-                        .iter()
-                        .map(|sub| sub.iter().map(|c| &cvecs[by_cand(*c)]).collect())
-                        .collect();
-                    det.probabilities(&refs)
-                };
-                match choice {
-                    DetectorChoice::Both => {
-                        let f = run(
-                            // lint: allow(panic, panic-path): construction invariant — fit() trains both detectors for Both
-                            self.forward_det.as_ref().expect("forward detector trained"),
-                            &groups.forward,
-                        );
-                        let b = run(
-                            self.backward_det
-                                .as_ref()
-                                // lint: allow(panic, panic-path): construction invariant — fit() trains both detectors for Both
-                                .expect("backward detector trained"),
-                            &groups.backward,
-                        );
-                        let _merge_span = clock::span(probe, "detect.merge");
-                        merge_probabilities(n, &f, &b)
-                    }
-                    DetectorChoice::ForwardOnly => run(
-                        // lint: allow(panic, panic-path): construction invariant — fit() trains the forward detector for ForwardOnly
-                        self.forward_det.as_ref().expect("forward detector trained"),
-                        &groups.forward,
-                    ),
-                    DetectorChoice::BackwardOnly => {
-                        // Backward probabilities come in backward flattening;
-                        // re-order to canonical.
-                        let b = run(
-                            self.backward_det
-                                .as_ref()
-                                // lint: allow(panic, panic-path): construction invariant — fit() trains the backward detector for BackwardOnly
-                                .expect("backward detector trained"),
-                            &groups.backward,
-                        );
-                        reorder_backward_to_canonical(n, &b)
-                    }
-                    // lint: allow(panic, panic-path): Mlp is matched by the outer arm; this arm only completes the nested match
-                    DetectorChoice::Mlp => unreachable!("handled above"),
-                }
-            }
-        };
-        drop(score_span);
-
+        let num_threads = opts.num_threads.unwrap_or(self.config.num_threads);
+        state.extend(self, &proc, poi_db, num_threads, probe);
+        let probabilities = state.score(self, probe);
         let detected = argmax_candidate(n, &probabilities)?;
         Some(DetectionResult {
             processed: proc,
             probabilities,
             detected,
         })
+    }
+
+    fn forward_detector(&self) -> &GroupDetector {
+        let det = self.forward_det.as_ref();
+        // lint: allow(panic, panic-path): construction invariant — fit() trains the forward detector for Both and ForwardOnly
+        det.expect("forward detector trained")
+    }
+
+    fn backward_detector(&self) -> &GroupDetector {
+        let det = self.backward_det.as_ref();
+        // lint: allow(panic, panic-path): construction invariant — fit() trains the backward detector for Both and BackwardOnly
+        det.expect("backward detector trained")
+    }
+}
+
+/// The scoring work of one trajectory's first stay points, kept so that
+/// scoring the same trajectory with more stay points redoes only what the
+/// new stay points change.
+///
+/// Work computed from stay points `0..k` stays valid when stay `k` closes:
+/// a segment's features and phase-1 row read that segment only, candidate
+/// `(i, j)`'s c-vec reads its own segments only, and backward subgroup
+/// `ḡ_j` (the candidates ending at `j`) never grows and runs as its own
+/// sequence in the detector's batch, so its logits do not change either.
+/// Forward subgroups grow at their tail, and the BiLSTM's backward half
+/// reads them from the tail, so the forward detector reruns in full.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScoreState {
+    /// Features of every stay and move segment covered.
+    tf: TrajectoryFeatures,
+    /// The hierarchical encoder's phase-1 rows of those segments.
+    phase1: Phase1Rows,
+    /// `cvecs[j][i]` is the c-vec of candidate `(i, j)`.
+    cvecs: Vec<Vec<Matrix>>,
+    /// Backward-detector logits of `ḡ_1 … ḡ_{k−1}` in backward flattening,
+    /// for the first `bwd_stays = k` stay points.
+    bwd_logits: Vec<f32>,
+    bwd_stays: usize,
+}
+
+impl ScoreState {
+    /// Stay points covered.
+    fn num_stays(&self) -> usize {
+        self.cvecs.len()
+    }
+
+    /// C-vecs computed so far, `k(k−1)/2` for `k` covered stay points.
+    pub(crate) fn num_encoded(&self) -> usize {
+        self.cvecs.iter().map(Vec::len).sum()
+    }
+
+    /// Covers the stay points of `proc` this state lacks: their segments'
+    /// features (`features` span) and phase-1 rows, and the c-vecs of the
+    /// candidates ending at them (`encode` span). `proc` must extend the
+    /// trajectory this state was built from.
+    fn extend(
+        &mut self,
+        model: &Lead,
+        proc: &ProcessedTrajectory,
+        poi_db: &PoiDatabase,
+        num_threads: usize,
+        probe: &dyn Probe,
+    ) {
+        let have = self.num_stays();
+        let n = proc.num_stay_points();
+        debug_assert!(have <= n, "a score state only grows");
+        if have >= n {
+            return;
+        }
+        let mut fx = FeatureExtractor::new(poi_db, &model.config, model.options.use_poi);
+        fx.set_normalizer(model.normalizer.clone());
+        let new = fx.features_from(proc, have, num_threads, probe);
+        let _span = clock::span(probe, "encode");
+        let ae = &model.autoencoder;
+        self.phase1.append(ae.phase1(&new.sp_seqs, &new.mp_seqs));
+        self.tf.sp_seqs.extend(new.sp_seqs);
+        self.tf.mp_seqs.extend(new.mp_seqs);
+        let candidates: Vec<Candidate> = (have..n)
+            .flat_map(|j| (0..j).map(move |i| Candidate::new(i, j)))
+            .collect();
+        let mut cvecs = ae
+            .phase2(&self.tf, &self.phase1, &candidates, num_threads)
+            .into_iter();
+        for j in have..n {
+            self.cvecs.push(cvecs.by_ref().take(j).collect());
+        }
+    }
+
+    /// The merged probabilities over the covered stay points' candidates, in
+    /// canonical order (`detect.score` and `detect.merge` spans). Each
+    /// detector reads the cached c-vecs; the backward detector scores only
+    /// the subgroups it has not scored before and keeps their logits.
+    fn score(&mut self, model: &Lead, probe: &dyn Probe) -> Vec<f32> {
+        let n = self.num_stays();
+        let _span = clock::span(probe, "detect.score");
+        match model.options.detector {
+            DetectorChoice::Mlp => {
+                // lint: allow(panic, panic-path): construction invariant — fit() trains the detector selected by `options.detector`
+                let det = model.mlp.as_ref().expect("MLP detector trained");
+                let cvecs = &self.cvecs;
+                det.probabilities((0..n).flat_map(|i| (i + 1..n).map(move |j| &cvecs[j][i])))
+            }
+            DetectorChoice::ForwardOnly => self.forward(model),
+            DetectorChoice::BackwardOnly => reorder_backward_to_canonical(n, &self.backward(model)),
+            DetectorChoice::Both => {
+                let f = self.forward(model);
+                let b = self.backward(model);
+                let _merge_span = clock::span(probe, "detect.merge");
+                merge_probabilities(n, &f, &b)
+            }
+        }
+    }
+
+    /// Forward probabilities: forward subgroup `g_i` holds `(i, i+1) …
+    /// (i, n−1)`.
+    fn forward(&self, model: &Lead) -> Vec<f32> {
+        let n = self.num_stays();
+        let groups: Vec<Vec<&Matrix>> = (0..n - 1)
+            .map(|i| (i + 1..n).map(|j| &self.cvecs[j][i]).collect())
+            .collect();
+        model.forward_detector().probabilities(&groups)
+    }
+
+    /// Backward probabilities in backward flattening, after scoring the
+    /// backward subgroups `ḡ_j` (`(j−1, j) … (0, j)`) not yet scored as one
+    /// batch.
+    fn backward(&mut self, model: &Lead) -> Vec<f32> {
+        let n = self.num_stays();
+        if self.bwd_stays < n {
+            let groups: Vec<Vec<&Matrix>> = (self.bwd_stays.max(1)..n)
+                .map(|j| self.cvecs[j].iter().rev().collect())
+                .collect();
+            let logits = model.backward_detector().logits(&groups);
+            self.bwd_logits.extend(logits);
+            self.bwd_stays = n;
+        }
+        softmax(&self.bwd_logits)
     }
 }
 
@@ -1046,6 +1133,75 @@ mod tests {
             assert_eq!(canonical[i], (c.start_sp * 10 + c.end_sp) as f32);
         }
         assert_eq!(canonical.len(), m);
+    }
+
+    #[test]
+    fn extending_a_score_state_matches_a_fresh_one() {
+        // A stream extends its state one stay point at a time; extending by
+        // several at once, from an empty or a non-empty state, must give the
+        // same bits as a fresh state.
+        use crate::features::{Normalizer, FEATURE_DIM};
+        let cfg = LeadConfig::fast_test();
+        let per_km = lead_geo::distance::meters_to_lng_deg(1_000.0, 32.0);
+        let mut pts = Vec::new();
+        let mut t = 0;
+        for block in 0..7 {
+            let lng = 120.9 + block as f64 * 5.0 * per_km;
+            for _ in 0..10 {
+                pts.push(lead_geo::GpsPoint::new(32.0, lng, t));
+                t += 120;
+            }
+            for k in 1..=3 {
+                pts.push(lead_geo::GpsPoint::new(
+                    32.0,
+                    lng + k as f64 * 1.25 * per_km,
+                    t,
+                ));
+                t += 120;
+            }
+        }
+        let proc = ProcessedTrajectory::from_raw(&lead_geo::Trajectory::new(pts), &cfg);
+        let n = proc.num_stay_points();
+        assert!(n >= 6, "{n} stay points");
+        let prefix = |k: usize| ProcessedTrajectory {
+            cleaned: proc.cleaned.clone(),
+            stay_points: proc.stay_points[..k].to_vec(),
+            candidates: enumerate_candidates(k),
+        };
+        let db = PoiDatabase::new(vec![]);
+        let fx = FeatureExtractor::new(&db, &cfg, true);
+        let rows: Vec<Vec<f32>> = proc
+            .cleaned
+            .points()
+            .iter()
+            .map(|p| fx.raw_features(p))
+            .collect();
+        let normalizer = Normalizer::fit(&rows);
+        assert_eq!(normalizer.dim(), FEATURE_DIM);
+        let bits = |r: Option<DetectionResult>| {
+            r.map(|d| {
+                let p: Vec<u32> = d.probabilities.iter().map(|v| v.to_bits()).collect();
+                (d.detected, p)
+            })
+        };
+        for options in [
+            LeadOptions::full(),
+            LeadOptions::no_sel(),
+            LeadOptions::no_hie(),
+            LeadOptions::no_gro(),
+            LeadOptions::no_for(),
+            LeadOptions::no_bac(),
+        ] {
+            let model = Lead::new_untrained(&cfg, options, normalizer.clone()).expect("valid");
+            let opts = DetectOptions::new();
+            let mut state = ScoreState::default();
+            for k in [1, 3, 4, n] {
+                let got = model.detect_extending(&mut state, prefix(k), &db, &opts);
+                let want = model.detect_processed_opts(prefix(k), &db, &opts);
+                assert_eq!(bits(got), bits(want), "{} k={k}", options.name());
+            }
+            assert_eq!(state.num_encoded(), n * (n - 1) / 2);
+        }
     }
 
     #[test]

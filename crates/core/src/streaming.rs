@@ -5,9 +5,18 @@
 //! immediately" — but the batch pipeline needs the whole one-day trajectory.
 //! [`StreamingDetector`] closes that gap: GPS points are pushed as they
 //! arrive, noise filtering and stay-point extraction run incrementally, and
-//! every time a stay point *completes* the trained model re-scores the
+//! every time a stay point *completes* the trained model scores the
 //! candidates seen so far, yielding a running hypothesis of the loaded
 //! trajectory.
+//!
+//! Scoring is incremental too. The stream keeps the scoring work of the
+//! stays already closed (segment features, phase-1 rows, c-vecs and
+//! backward-detector logits) and, when a stay closes, computes only what
+//! the new stay adds: its segments, the candidates ending at it and its
+//! backward subgroup. The forward detector reruns in full. Every hypothesis
+//! is bit-identical to [`Lead::detect_processed_opts`] on
+//! [`StreamingDetector::snapshot`] (pinned by
+//! `crates/core/tests/stream_detect_parity.rs`).
 //!
 //! The incremental processing is **exactly equivalent** to the batch
 //! component: feeding a trajectory point-by-point and then calling
@@ -15,7 +24,7 @@
 //! stay points as [`ProcessedTrajectory::from_raw`] (a property test pins
 //! this down).
 
-use crate::pipeline::{DetectOptions, DetectionResult, Lead};
+use crate::pipeline::{DetectOptions, DetectionResult, Lead, ScoreState};
 use crate::poi::PoiDatabase;
 use crate::processing::{enumerate_candidates, ProcessedTrajectory, StayPoint};
 use lead_geo::{GpsPoint, Trajectory};
@@ -171,6 +180,8 @@ pub struct StreamingDetector<'m, 'p> {
     extractor: IncrementalStayExtractor,
     v_max_mps: f64,
     probe: &'p dyn Probe,
+    /// The scoring work of the completed stays, extended at each rescore.
+    state: ScoreState,
 }
 
 impl<'m, 'p> StreamingDetector<'m, 'p> {
@@ -182,9 +193,11 @@ impl<'m, 'p> StreamingDetector<'m, 'p> {
     /// [`Self::new`] with an observability probe: records
     /// `stream.points_in` / `stream.points_filtered` /
     /// `stream.points_out_of_order` / `stream.stays_completed` /
-    /// `stream.rescores` counters as the stream
-    /// advances. Metrics are write-only — updates and detections are
-    /// identical for any probe.
+    /// `stream.rescores` counters as the stream advances, and
+    /// `stream.candidates_encoded`, the c-vecs each rescore actually
+    /// computes (only the candidates ending at newly completed stays; the
+    /// rest are reused). Metrics are write-only — updates and detections
+    /// are identical for any probe.
     pub fn with_probe(model: &'m Lead, poi_db: &'p PoiDatabase, probe: &'p dyn Probe) -> Self {
         let v_max_mps = model.config().v_max_kmh / 3.6;
         let extractor =
@@ -197,6 +210,7 @@ impl<'m, 'p> StreamingDetector<'m, 'p> {
             extractor,
             v_max_mps,
             probe,
+            state: ScoreState::default(),
         }
     }
 
@@ -273,13 +287,20 @@ impl<'m, 'p> StreamingDetector<'m, 'p> {
         }
     }
 
-    fn score(&self) -> Option<DetectionResult> {
+    fn score(&mut self) -> Option<DetectionResult> {
+        let encoded = self.state.num_encoded();
+        let opts = DetectOptions::new().with_probe(self.probe);
+        let proc = self.current_processed();
+        let result = self
+            .model
+            .detect_extending(&mut self.state, proc, self.poi_db, &opts);
         if self.probe.enabled() {
             self.probe.count("stream.rescores", 1);
+            let encoded = self.state.num_encoded() - encoded;
+            self.probe
+                .count("stream.candidates_encoded", encoded as u64);
         }
-        let opts = DetectOptions::new().with_probe(self.probe);
-        self.model
-            .detect_processed_opts(self.current_processed(), self.poi_db, &opts)
+        result
     }
 
     /// Ends the stream: closes a qualifying trailing run (the batch

@@ -22,6 +22,11 @@ cargo test --workspace -q
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn
 
+# Streaming detection reuses cached c-vecs and logits; its bit parity with
+# batch detection must hold on the scalar backend too.
+echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test stream_detect_parity"
+LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test stream_detect_parity
+
 # Planted-divergence self-test: the parity battery must actually catch a
 # kernel whose rounding differs (an FMA'd dot). If this test vanishes or
 # stops detecting the fixture, the whole parity gate is decorative.

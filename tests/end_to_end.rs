@@ -227,6 +227,12 @@ fn streaming_matches_batch_detection() {
         match (batch, streamed) {
             (Some(a), Some(b)) => {
                 assert_eq!(a.detected, b.detected, "streaming/batch diverged");
+                let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&a.probabilities),
+                    bits(&b.probabilities),
+                    "streaming/batch probabilities diverged"
+                );
                 compared += 1;
             }
             (None, None) => {}
