@@ -337,6 +337,42 @@ mod tests {
         }
     }
 
+    /// The hash `fitted_parameters_match_the_golden_hash` recorded before
+    /// the LSTM's training step was fused into one tape op.
+    const GOLDEN: u64 = 0x09c5_3fb5_3a80_5533;
+
+    /// Cross-commit golden pin for the baselines: FNV-1a over every trained
+    /// parameter bit and every loss-curve bit of SP-LSTM and SP-GRU. Other
+    /// tests here compare a build with itself; this one compares it with an
+    /// earlier tree. A mismatch means the trained bytes changed: audit the
+    /// change, do not just update the constant.
+    #[test]
+    fn fitted_parameters_match_the_golden_hash() {
+        let fnv = |h: u64, bytes: &[u8]| {
+            bytes.iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let floats = |h: u64, xs: &[f32]| {
+            let h = fnv(h, &(xs.len() as u64).to_le_bytes());
+            xs.iter().fold(h, |h, x| fnv(h, &x.to_bits().to_le_bytes()))
+        };
+        let (samples, db) = tiny_world();
+        let cfg = LeadConfig::fast_test();
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for kind in [RnnKind::Lstm, RnnKind::Gru] {
+            let (model, curve) = SpRnn::fit(kind, &samples, &db, &cfg, &SpRnnConfig::fast_test());
+            for (_, value) in model.params.iter() {
+                h = floats(h, value.data());
+            }
+            h = floats(h, &curve);
+        }
+        assert_eq!(
+            h, GOLDEN,
+            "golden drift: got {h:#018x}, pinned {GOLDEN:#018x}"
+        );
+    }
+
     #[test]
     fn training_reduces_bce_with_more_epochs() {
         let (samples, db) = tiny_world();

@@ -54,6 +54,10 @@ impl BiLstm {
     ///
     /// # Panics
     /// Panics if `xs` is empty.
+    ///
+    /// The merge runs as one product over the steps stacked last step
+    /// first, so its backward adds the steps' weight and bias gradients in
+    /// the order per-step merges would (the tape walks later steps first).
     pub fn forward(&self, g: &mut Graph, xs: &[Var]) -> Vec<Var> {
         assert!(!xs.is_empty(), "BiLSTM over an empty sequence");
         let hs_fwd = self.fwd.forward(g, xs);
@@ -145,6 +149,8 @@ impl StackedBiLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ParamId;
+    use crate::testing::gradcheck;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -223,5 +229,60 @@ mod tests {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(67);
         let _ = StackedBiLstm::new(&mut ps, &mut rng, "s", 3, 4, 0);
+    }
+
+    /// `Σ_t w_t·y_t` with fixed, distinct weights, so every output element
+    /// gets its own upstream gradient.
+    fn weighted_sum(g: &mut Graph, ys: &[Var]) -> Var {
+        let stacked = g.concat_rows(ys);
+        let (r, c) = g.value(stacked).shape();
+        let w = g.constant(Matrix::from_fn(r, c, |i, j| {
+            ((i * c + j) as f32 * 0.7).cos()
+        }));
+        let p = g.mul(stacked, w);
+        g.sum_all(p)
+    }
+
+    /// Finite-difference checks of every parameter in `ps` and of the input
+    /// `x` (registered as a parameter, one step per row) for the layer run
+    /// by `forward`.
+    fn gradcheck_layer<F>(ps: &ParamSet, x: ParamId, forward: F)
+    where
+        F: Fn(&mut Graph, &[Var]) -> Vec<Var> + Clone,
+    {
+        let targets: Vec<ParamId> = ps.iter().map(|(id, _)| id).collect();
+        for target in targets {
+            let forward = forward.clone();
+            gradcheck(&mut ps.clone(), target, 1e-2, 3e-2, move |g| {
+                let xv = g.param(x);
+                let xs: Vec<Var> = (0..g.value(xv).rows()).map(|r| g.row(xv, r)).collect();
+                let ys = forward(g, &xs);
+                weighted_sum(g, &ys)
+            });
+        }
+    }
+
+    fn input(rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            ((r * cols + c) as f32 * 0.53).sin() * 0.8
+        })
+    }
+
+    #[test]
+    fn gradcheck_bilstm_params_and_input() {
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(71);
+        let bl = BiLstm::new(&mut ps, &mut rng, "b", 2, 3);
+        let x = ps.register("x", input(4, 2));
+        gradcheck_layer(&ps, x, move |g, xs| bl.forward(g, xs));
+    }
+
+    #[test]
+    fn gradcheck_stacked_bilstm_params_and_input() {
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(73);
+        let st = StackedBiLstm::new(&mut ps, &mut rng, "s", 2, 3, 2);
+        let x = ps.register("x", input(3, 2));
+        gradcheck_layer(&ps, x, move |g, xs| st.forward(g, xs));
     }
 }

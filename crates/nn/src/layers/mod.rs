@@ -21,3 +21,4 @@ pub use bilstm::{BiLstm, StackedBiLstm};
 pub use gru::Gru;
 pub use linear::Linear;
 pub use lstm::Lstm;
+pub(crate) use lstm::LstmRun;

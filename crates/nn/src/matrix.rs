@@ -12,7 +12,7 @@
 //! produces bit-identical results (the `simd` module's contract) and forcing
 //! `Backend::Scalar` never changes a stored model byte.
 
-use crate::simd::{self, Kernel};
+use crate::simd::{self, Backend, Kernel};
 use std::fmt;
 
 /// A dense row-major matrix of `f32`.
@@ -177,26 +177,16 @@ impl Matrix {
         );
     }
 
-    /// `out += self^T × rhs` without materialising the transpose; the inner
-    /// loop is the dispatched `axpy` kernel with the same exact-zero
-    /// sparsity skip as `matmul_acc`.
+    /// `out += self^T × rhs` without materialising the transpose; see
+    /// `outer_acc` for the loop order. Each output entry takes its terms
+    /// in row order, through the dispatched `axpy` kernel with the same
+    /// exact-zero sparsity skip as `matmul_acc`.
     pub fn matmul_at_b_acc_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "A^T·B shape mismatch");
         assert_eq!(out.rows, self.cols);
         assert_eq!(out.cols, rhs.cols);
-        let kernel = simd::active();
-        let n = rhs.cols;
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = rhs.row(r);
-            for (k, &a) in a_row.iter().enumerate() {
-                // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
-                if a == 0.0 {
-                    continue;
-                }
-                kernel.axpy(a, b_row, &mut out.data[k * n..(k + 1) * n]);
-            }
-        }
+        let terms: Vec<_> = (0..self.rows).map(|r| (self.row(r), rhs.row(r))).collect();
+        outer_acc(simd::active(), &terms, &mut out.data, rhs.cols);
     }
 
     /// `out += self × rhs^T` without materialising the transpose: one
@@ -205,13 +195,15 @@ impl Matrix {
         assert_eq!(self.cols, rhs.cols, "A·B^T shape mismatch");
         assert_eq!(out.rows, self.rows);
         assert_eq!(out.cols, rhs.rows);
-        let kernel = simd::active();
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                out.data[i * rhs.rows + j] += kernel.dot(a_row, rhs.row(j));
-            }
-        }
+        a_bt_acc(
+            simd::active(),
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            rhs.rows,
+        );
     }
 
     /// `self × rhs^T` as a new matrix — the attention scoring shape
@@ -522,6 +514,41 @@ impl Matrix {
     /// True when every entry is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
+    }
+}
+
+/// `out[k×n] += Σ aᵀ·b` over the row pairs `(a, b)` of `terms` (`a` 1×k,
+/// `b` 1×n), one `axpy` per nonzero `a[i]`. Output row `i` takes its terms
+/// in `terms` order, so the result is the one a pair-by-pair loop gives; the
+/// loops run output row outermost, which keeps that row in cache.
+pub(crate) fn outer_acc(kernel: Backend, terms: &[(&[f32], &[f32])], out: &mut [f32], n: usize) {
+    for (i, row) in out.chunks_exact_mut(n).enumerate() {
+        for &(a, b) in terms {
+            // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
+            if a[i] == 0.0 {
+                continue;
+            }
+            kernel.axpy(a[i], b, row);
+        }
+    }
+}
+
+/// `out[m×n] += a[m×k] × b[n×k]ᵀ` over row-major slices, the body of
+/// [`Matrix::matmul_a_bt_acc_into`]: one blocked `dot` per output entry.
+pub(crate) fn a_bt_acc(
+    kernel: Backend,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for j in 0..n {
+            out[i * n + j] += kernel.dot(a_row, &b[j * k..(j + 1) * k]);
+        }
     }
 }
 

@@ -81,6 +81,19 @@ impl ParamSet {
         }
     }
 
+    /// Gradients taken from per-parameter slots (indexed like the set),
+    /// zeros where a slot is empty.
+    pub(crate) fn gradients_from(&self, slots: Vec<Option<Matrix>>) -> Gradients {
+        assert_eq!(slots.len(), self.values.len(), "gradient arity mismatch");
+        Gradients {
+            grads: slots
+                .into_iter()
+                .zip(&self.values)
+                .map(|(g, m)| g.unwrap_or_else(|| Matrix::zeros(m.rows(), m.cols())))
+                .collect(),
+        }
+    }
+
     /// Iterates over `(id, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
         self.values.iter().enumerate().map(|(i, m)| (ParamId(i), m))

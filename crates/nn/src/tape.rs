@@ -6,13 +6,16 @@
 //!
 //! The op vocabulary is exactly what the LEAD architectures need: matrix
 //! products (including the transpose-free `A·Bᵀ` attention scoring shape),
-//! elementwise arithmetic, broadcasts, slicing/concatenation (for LSTM gate
-//! splits and bidirectional merges), `tanh`/`sigmoid`/row-softmax, fused
-//! bias-then-activation gates, and two fused losses (MSE for the
-//! hierarchical autoencoder, KL divergence for the detectors). Forward and
-//! backward passes route through the dispatched SIMD kernels via `Matrix`,
-//! so autodiff inherits the backend bit-identity contract.
+//! elementwise arithmetic, broadcasts, slicing/concatenation (for
+//! bidirectional merges), `tanh`/`sigmoid`/row-softmax, fused
+//! bias-then-activation gates, a whole LSTM run as one op (its backward is
+//! the hand-written BPTT in `layers::lstm`), and three fused losses (MSE for
+//! the hierarchical autoencoder, KL divergence for the detectors, BCE for
+//! the ablations and baselines). Forward and backward passes route through
+//! the dispatched SIMD kernels, so autodiff inherits the backend
+//! bit-identity contract.
 
+use crate::layers::LstmRun;
 use crate::matrix::Matrix;
 use crate::params::{Gradients, ParamId, ParamSet};
 use crate::simd::{self, Kernel};
@@ -51,6 +54,9 @@ enum Op {
     SliceCols(Var, usize),
     /// Row `r` of the input as a 1×cols node.
     Row(Var, usize),
+    /// A whole [`crate::layers::Lstm`] run; the node's value stacks its
+    /// hidden states (steps × hidden).
+    Lstm(Box<LstmRun>),
     Transpose(Var),
     MeanAll(Var),
     SumAll(Var),
@@ -100,13 +106,17 @@ impl<'p> Graph<'p> {
         Var(self.nodes.len() - 1)
     }
 
-    fn needs(&self, v: Var) -> bool {
+    pub(crate) fn needs(&self, v: Var) -> bool {
         self.nodes[v.0].needs_grad
     }
 
-    /// The computed value of a node.
+    /// The computed value of a node. A parameter's value is read from the
+    /// [`ParamSet`] in place.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        match self.nodes[v.0].op {
+            Op::Param(id) => self.params.value(id),
+            _ => &self.nodes[v.0].value,
+        }
     }
 
     /// The scalar value of a 1×1 node.
@@ -137,11 +147,12 @@ impl<'p> Graph<'p> {
     }
 
     /// Records a trainable parameter, caching repeat uses of the same id.
+    /// The node holds no copy of the value (see [`Graph::value`]).
     pub fn param(&mut self, id: ParamId) -> Var {
         if let Some(v) = self.param_cache[id.index()] {
             return v;
         }
-        let v = self.push(self.params.value(id).clone(), Op::Param(id), true);
+        let v = self.push(Matrix::zeros(0, 0), Op::Param(id), true);
         self.param_cache[id.index()] = Some(v);
         v
     }
@@ -298,6 +309,11 @@ impl<'p> Graph<'p> {
         self.push(value, Op::Transpose(a), ng)
     }
 
+    /// Records a finished LSTM run whose hidden states are the rows of `hs`.
+    pub(crate) fn lstm_run(&mut self, run: LstmRun, hs: Matrix) -> Var {
+        self.push(hs, Op::Lstm(Box::new(run)), true)
+    }
+
     // ---- reductions and losses ---------------------------------------------
 
     /// Mean of all entries, as a 1×1 node.
@@ -383,7 +399,7 @@ impl<'p> Graph<'p> {
         );
         let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[loss.0] = Some(Matrix::full(1, 1, 1.0));
-        let mut out = self.params.zero_gradients();
+        let mut out: Vec<Option<Matrix>> = (0..self.params.len()).map(|_| None).collect();
 
         for i in (0..=loss.0).rev() {
             if !self.nodes[i].needs_grad {
@@ -392,26 +408,28 @@ impl<'p> Graph<'p> {
             let Some(g) = grads[i].take() else { continue };
             match &self.nodes[i].op {
                 Op::Constant => {}
-                Op::Param(pid) => out.get_mut(*pid).add_assign(&g),
+                // Every slot starts at +0 and only ever has values added, so
+                // it never holds -0 and `0 + g` is `g`: the slot is the gradient.
+                Op::Param(pid) => out[pid.index()] = Some(g),
                 Op::MatMul(a, b) => {
                     if self.needs(*a) {
                         let ga = self.grad_slot(&mut grads, *a);
-                        g.matmul_a_bt_acc_into(&self.nodes[b.0].value, ga);
+                        g.matmul_a_bt_acc_into(self.value(*b), ga);
                     }
                     if self.needs(*b) {
                         let gb = self.grad_slot(&mut grads, *b);
-                        self.nodes[a.0].value.matmul_at_b_acc_into(&g, gb);
+                        self.value(*a).matmul_at_b_acc_into(&g, gb);
                     }
                 }
                 Op::MatMulBt(a, b) => {
                     // y = A·Bᵀ, so dA = G·B and dB = Gᵀ·A.
                     if self.needs(*a) {
                         let ga = self.grad_slot(&mut grads, *a);
-                        g.matmul_acc_into(&self.nodes[b.0].value, ga);
+                        g.matmul_acc_into(self.value(*b), ga);
                     }
                     if self.needs(*b) {
                         let gb = self.grad_slot(&mut grads, *b);
-                        g.matmul_at_b_acc_into(&self.nodes[a.0].value, gb);
+                        g.matmul_at_b_acc_into(self.value(*a), gb);
                     }
                 }
                 Op::Add(a, b) => {
@@ -432,11 +450,11 @@ impl<'p> Graph<'p> {
                 }
                 Op::Mul(a, b) => {
                     if self.needs(*a) {
-                        let gb = g.mul(&self.nodes[b.0].value);
+                        let gb = g.mul(self.value(*b));
                         self.grad_slot(&mut grads, *a).add_assign(&gb);
                     }
                     if self.needs(*b) {
-                        let ga = g.mul(&self.nodes[a.0].value);
+                        let ga = g.mul(self.value(*a));
                         self.grad_slot(&mut grads, *b).add_assign(&ga);
                     }
                 }
@@ -492,7 +510,7 @@ impl<'p> Graph<'p> {
                 }
                 Op::Relu(a) => {
                     if self.needs(*a) {
-                        let x = &self.nodes[a.0].value;
+                        let x = self.value(*a);
                         let dg = g.zip_map(x, |gi, xi| if xi > 0.0 { gi } else { 0.0 });
                         self.grad_slot(&mut grads, *a).add_assign(&dg);
                     }
@@ -518,7 +536,7 @@ impl<'p> Graph<'p> {
                 Op::ConcatCols(parts) => {
                     let mut off = 0;
                     for &p in parts {
-                        let w = self.nodes[p.0].value.cols();
+                        let w = self.value(p).cols();
                         if self.needs(p) {
                             let gp = g.slice_cols(off, off + w);
                             self.grad_slot(&mut grads, p).add_assign(&gp);
@@ -529,7 +547,7 @@ impl<'p> Graph<'p> {
                 Op::ConcatRows(parts) => {
                     let mut off = 0;
                     for &p in parts {
-                        let h = self.nodes[p.0].value.rows();
+                        let h = self.value(p).rows();
                         if self.needs(p) {
                             let gp = g.slice_rows(off, off + h);
                             self.grad_slot(&mut grads, p).add_assign(&gp);
@@ -553,6 +571,7 @@ impl<'p> Graph<'p> {
                         simd::active().axpy(1.0, g.row(0), ga.row_mut(*r));
                     }
                 }
+                Op::Lstm(run) => run.backward(self, &self.nodes[i].value, &g, &mut grads),
                 Op::Transpose(a) => {
                     if self.needs(*a) {
                         self.grad_slot(&mut grads, *a).add_assign(&g.transpose());
@@ -560,9 +579,9 @@ impl<'p> Graph<'p> {
                 }
                 Op::MeanAll(a) => {
                     if self.needs(*a) {
-                        let n = self.nodes[a.0].value.len() as f32;
+                        let n = self.value(*a).len() as f32;
                         let gs = g.at(0, 0) / n;
-                        let shape = self.nodes[a.0].value.shape();
+                        let shape = self.value(*a).shape();
                         let dg = Matrix::full(shape.0, shape.1, gs);
                         self.grad_slot(&mut grads, *a).add_assign(&dg);
                     }
@@ -570,7 +589,7 @@ impl<'p> Graph<'p> {
                 Op::SumAll(a) => {
                     if self.needs(*a) {
                         let gs = g.at(0, 0);
-                        let shape = self.nodes[a.0].value.shape();
+                        let shape = self.value(*a).shape();
                         let dg = Matrix::full(shape.0, shape.1, gs);
                         self.grad_slot(&mut grads, *a).add_assign(&dg);
                     }
@@ -579,14 +598,14 @@ impl<'p> Graph<'p> {
                     if self.needs(*a) {
                         let n = target.len() as f32;
                         let gs = g.at(0, 0) * 2.0 / n;
-                        let diff = self.nodes[a.0].value.sub(target);
+                        let diff = self.value(*a).sub(target);
                         self.grad_slot(&mut grads, *a).add_scaled_assign(&diff, gs);
                     }
                 }
                 Op::KldLoss(q, p) => {
                     if self.needs(*q) {
                         let gs = g.at(0, 0);
-                        let qv = &self.nodes[q.0].value;
+                        let qv = self.value(*q);
                         let dg = p.zip_map(qv, |pi, qi| -gs * pi / qi);
                         self.grad_slot(&mut grads, *q).add_assign(&dg);
                     }
@@ -594,7 +613,7 @@ impl<'p> Graph<'p> {
                 Op::BceWithLogitsLoss(z, y) => {
                     if self.needs(*z) {
                         let gs = g.at(0, 0) / y.len() as f32;
-                        let zv = &self.nodes[z.0].value;
+                        let zv = self.value(*z);
                         // d/dz = sigmoid(z) - y.
                         let dg = zv.zip_map(y, |zi, yi| gs * (1.0 / (1.0 + (-zi).exp()) - yi));
                         self.grad_slot(&mut grads, *z).add_assign(&dg);
@@ -602,11 +621,12 @@ impl<'p> Graph<'p> {
                 }
             }
         }
-        out
+        self.params.gradients_from(out)
     }
 
-    fn grad_slot<'g>(&self, grads: &'g mut [Option<Matrix>], v: Var) -> &'g mut Matrix {
-        let (r, c) = self.nodes[v.0].value.shape();
+    /// The gradient accumulator of `v`, created as zeros on first use.
+    pub(crate) fn grad_slot<'g>(&self, grads: &'g mut [Option<Matrix>], v: Var) -> &'g mut Matrix {
+        let (r, c) = self.value(v).shape();
         grads[v.0].get_or_insert_with(|| Matrix::zeros(r, c))
     }
 }

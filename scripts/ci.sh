@@ -27,6 +27,11 @@ LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test stream_detect_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test stream_detect_parity
 
+# Training bytes: parallel_parity's golden pins trained models, loss curves
+# and detections, so the scalar backend must reproduce them too.
+echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test parallel_parity"
+LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test parallel_parity
+
 # Planted-divergence self-test: the parity battery must actually catch a
 # kernel whose rounding differs (an FMA'd dot). If this test vanishes or
 # stops detecting the fixture, the whole parity gate is decorative.
