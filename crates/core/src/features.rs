@@ -258,31 +258,7 @@ impl TrajectoryFeatures {
 impl<'a> FeatureExtractor<'a> {
     /// Extracts the features of every stay point and move point of `proc`.
     pub fn trajectory_features(&self, proc: &ProcessedTrajectory) -> TrajectoryFeatures {
-        self.trajectory_features_par(proc, 1)
-    }
-
-    /// [`Self::trajectory_features`] with the per-segment POI queries and
-    /// normalisation spread over `num_threads` workers (0 = all cores).
-    /// Segments are independent POI-index lookups, so the result is
-    /// bit-identical for every thread count.
-    pub fn trajectory_features_par(
-        &self,
-        proc: &ProcessedTrajectory,
-        num_threads: usize,
-    ) -> TrajectoryFeatures {
-        self.features_from(proc, 0, num_threads, &lead_obs::probe::NOOP)
-    }
-
-    /// [`Self::trajectory_features_par`] with an observability probe:
-    /// records a `features` span and the number of extracted feature rows.
-    /// Metrics are write-only — the features are identical for any probe.
-    pub fn trajectory_features_probed(
-        &self,
-        proc: &ProcessedTrajectory,
-        num_threads: usize,
-        probe: &dyn lead_obs::probe::Probe,
-    ) -> TrajectoryFeatures {
-        self.features_from(proc, 0, num_threads, probe)
+        self.features_from(proc, 0, 1, &lead_obs::probe::NOOP)
     }
 
     /// The features of the segments from stay point `from` on: stays

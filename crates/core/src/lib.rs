@@ -58,4 +58,4 @@ pub use label::TruthLabel;
 pub use pipeline::{DetectOptions, DetectionResult, FitOptions, Lead, LeadOptions, TrainingReport};
 pub use poi::{Poi, PoiCategory, PoiDatabase, PoiRole, NUM_POI_CATEGORIES};
 pub use processing::{Candidate, ProcessedTrajectory, StayPoint};
-pub use source::{BinarySampleShards, SampleSource, SliceSamples, SourceError, VecSamples};
+pub use source::{BinarySampleShards, SampleSource, SliceSamples, SourceError};

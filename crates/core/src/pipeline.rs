@@ -371,15 +371,7 @@ impl Lead {
     ) -> Result<(Self, TrainingReport), LeadError> {
         let mut train = SliceSamples::new(samples);
         let mut val = SliceSamples::new(val_samples);
-        Self::fit_core(
-            &mut train,
-            Some(&mut val),
-            poi_db,
-            config,
-            options,
-            probe,
-            None,
-        )
+        Self::fit_core(&mut train, Some(&mut val), poi_db, config, options, probe)
     }
 
     /// The offline stage over streaming [`SampleSource`]s: identical
@@ -388,18 +380,13 @@ impl Lead {
     /// shard instead of the whole dataset. For the same seed and dataset the
     /// trained model, loss curves, and report are **bit-identical** to the
     /// in-RAM path at any shard size (pinned by
-    /// `crates/core/tests/streaming_parity.rs`).
-    ///
-    /// When `val` is `None`, [`FitOptions::val_fraction`] can carve a
-    /// validation split off the tail of the ingested training set (by raw
-    /// sample count, before processing drops unusable samples).
+    /// `crates/core/tests/streaming_parity.rs`). With `val` `None` the
+    /// model trains without a validation split.
     ///
     /// # Errors
-    /// [`LeadError::Config`] on an invalid configuration or
-    /// [`FitOptions::val_fraction`] outside `[0, 1)` (or combined with an
-    /// explicit `val` source); [`LeadError::Source`] when a source fails to
-    /// read or validate; [`LeadError::NoTrainableSamples`] when no sample
-    /// survives processing.
+    /// [`LeadError::Config`] on an invalid configuration;
+    /// [`LeadError::Source`] when a source fails to read or validate;
+    /// [`LeadError::NoTrainableSamples`] when no sample survives processing.
     pub fn fit_streaming(
         train: &mut dyn SampleSource,
         val: Option<&mut dyn SampleSource>,
@@ -408,21 +395,6 @@ impl Lead {
         options: LeadOptions,
         fit: &FitOptions<'_>,
     ) -> Result<(Self, TrainingReport), LeadError> {
-        if let Some(f) = fit.val_fraction {
-            if !(0.0..1.0).contains(&f) {
-                return Err(LeadError::Config(ConfigError {
-                    field: "val_fraction",
-                    reason: "validation fraction must lie in [0, 1)",
-                }));
-            }
-            if val.is_some() {
-                return Err(LeadError::Config(ConfigError {
-                    field: "val_fraction",
-                    reason:
-                        "cannot combine a validation fraction with an explicit validation source",
-                }));
-            }
-        }
         let cfg_override;
         let config = if let Some(t) = fit.num_threads {
             let mut cfg = config.clone();
@@ -432,15 +404,7 @@ impl Lead {
         } else {
             config
         };
-        Self::fit_core(
-            train,
-            val,
-            poi_db,
-            config,
-            options,
-            fit.probe,
-            fit.val_fraction,
-        )
+        Self::fit_core(train, val, poi_db, config, options, fit.probe)
     }
 
     /// The single fitting core every public `fit*` entry point delegates to.
@@ -454,7 +418,6 @@ impl Lead {
         config: &LeadConfig,
         options: LeadOptions,
         probe: &dyn Probe,
-        val_fraction: Option<f64>,
     ) -> Result<(Self, TrainingReport), LeadError> {
         config.validate()?;
         let _fit_span = clock::span(probe, "fit");
@@ -488,15 +451,10 @@ impl Lead {
             }
             Ok(out)
         };
-        let mut maybe_train = process_source(train)?;
+        let maybe_train = process_source(train)?;
         let maybe_val = match val {
             Some(v) => process_source(v)?,
-            None => {
-                let n_val = val_fraction
-                    .map(|f| ((maybe_train.len() as f64) * f).floor() as usize)
-                    .unwrap_or(0);
-                maybe_train.split_off(maybe_train.len() - n_val)
-            }
+            None => Vec::new(),
         };
         let skipped = maybe_train
             .iter()
@@ -545,11 +503,11 @@ impl Lead {
         let fx_ref = &fx;
         let features: Vec<TrajectoryFeatures> =
             lead_nn::par::par_map(config.num_threads, &processed, |_, (proc, _)| {
-                fx_ref.trajectory_features_probed(proc, 1, probe)
+                fx_ref.features_from(proc, 0, 1, probe)
             });
         let val_features: Vec<TrajectoryFeatures> =
             lead_nn::par::par_map(config.num_threads, &val_processed, |_, (proc, _)| {
-                fx_ref.trajectory_features_probed(proc, 1, probe)
+                fx_ref.features_from(proc, 0, 1, probe)
             });
         drop(feature_span);
 
@@ -725,18 +683,6 @@ impl Lead {
         self.detect_opts(raw, poi_db, &DetectOptions::default())
     }
 
-    /// Detects every raw trajectory of a batch, parallel across
-    /// trajectories. Results keep the input order; a trajectory with fewer
-    /// than two stay points yields `None`, exactly as [`Self::detect`].
-    /// Thin convenience for [`Self::detect_batch_opts`].
-    pub fn detect_batch(
-        &self,
-        raws: &[lead_geo::Trajectory],
-        poi_db: &PoiDatabase,
-    ) -> Vec<Option<DetectionResult>> {
-        self.detect_batch_opts(raws, poi_db, &DetectOptions::default())
-    }
-
     /// [`Self::detect`] with explicit [`DetectOptions`]: a worker-thread
     /// override and an observability probe receiving per-stage spans
     /// (`detect`, `processing`, `features`, `encode`, `detect.score`,
@@ -753,8 +699,10 @@ impl Lead {
         self.detect_processed_opts(proc, poi_db, opts)
     }
 
-    /// [`Self::detect_batch`] with explicit [`DetectOptions`]; additionally
-    /// records batch counters (`batch.trajectories`, `batch.detected`) and a
+    /// Detects every raw trajectory of a batch, parallel across
+    /// trajectories. Results keep the input order; a trajectory with fewer
+    /// than two stay points yields `None`, exactly as [`Self::detect`].
+    /// Records batch counters (`batch.trajectories`, `batch.detected`) and a
     /// `batch.throughput_per_s` gauge when a recording probe is attached.
     pub fn detect_batch_opts(
         &self,
@@ -1024,8 +972,7 @@ impl<'p> DetectOptions<'p> {
 /// Options for one streaming fit ([`Lead::fit_streaming`]).
 ///
 /// The `Default` instance reproduces [`Lead::fit_with_val`] exactly: the
-/// configuration's thread count, no instrumentation, no carved validation
-/// split.
+/// configuration's thread count and no instrumentation.
 #[derive(Clone, Copy)]
 pub struct FitOptions<'p> {
     /// Worker threads for the sample-parallel stages; `None` uses
@@ -1036,11 +983,6 @@ pub struct FitOptions<'p> {
     /// [`Lead::fit_opts`]. Metrics are write-only: the trained model is
     /// bit-identical for any probe.
     pub probe: &'p dyn Probe,
-    /// When no explicit validation source is given, carve this fraction
-    /// (`[0, 1)`) off the tail of the ingested training set — by raw sample
-    /// count, before processing drops unusable samples — and use it as the
-    /// validation split. `None` (or `Some(0.0)`) trains without validation.
-    pub val_fraction: Option<f64>,
 }
 
 impl Default for FitOptions<'_> {
@@ -1048,13 +990,12 @@ impl Default for FitOptions<'_> {
         FitOptions {
             num_threads: None,
             probe: &NOOP,
-            val_fraction: None,
         }
     }
 }
 
 impl<'p> FitOptions<'p> {
-    /// Default options: configured thread count, no probe, no carved split.
+    /// Default options: configured thread count, no probe.
     pub fn new() -> Self {
         Self::default()
     }
@@ -1072,15 +1013,7 @@ impl<'p> FitOptions<'p> {
         FitOptions {
             num_threads: self.num_threads,
             probe,
-            val_fraction: self.val_fraction,
         }
-    }
-
-    /// Carves a validation split off the ingested training set.
-    #[must_use]
-    pub fn with_val_fraction(mut self, fraction: f64) -> Self {
-        self.val_fraction = Some(fraction);
-        self
     }
 }
 

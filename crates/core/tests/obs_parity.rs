@@ -145,7 +145,7 @@ fn batch_detection_records_throughput() {
 
     let recorder = Recorder::new();
     let raws: Vec<_> = samples.iter().map(|s| s.raw.clone()).collect();
-    let plain = model.detect_batch(&raws, &db);
+    let plain = model.detect_batch_opts(&raws, &db, &DetectOptions::default());
     let probed = model.detect_batch_opts(&raws, &db, &DetectOptions::new().with_probe(&recorder));
     assert_eq!(plain.len(), probed.len());
     for (a, b) in plain.iter().zip(&probed) {

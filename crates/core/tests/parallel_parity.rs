@@ -159,7 +159,7 @@ fn detect_batch_matches_individual_detects() {
         synthetic_day(1, 11).0,
         synthetic_day(4, 12).0,
     ];
-    let batch = model.detect_batch(&raws, &db);
+    let batch = model.detect_batch_opts(&raws, &db, &DetectOptions::default());
     assert_eq!(batch.len(), raws.len());
     assert!(batch[2].is_none(), "one stay point admits no candidate");
     for (raw, got) in raws.iter().zip(&batch) {

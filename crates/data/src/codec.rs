@@ -127,24 +127,6 @@ pub fn read_f64(input: &mut &[u8]) -> Result<f64, MalformedKind> {
     Ok(f64::from_bits(u64::from_le_bytes(arr)))
 }
 
-/// Appends an `f32` as its IEEE-754 bits in little-endian order.
-pub fn write_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Reads a little-endian IEEE-754 `f32` from the front of `input`.
-///
-/// # Errors
-///
-/// [`MalformedKind::TruncatedPayload`] when fewer than four bytes remain.
-pub fn read_f32(input: &mut &[u8]) -> Result<f32, MalformedKind> {
-    let bytes = take(input, 4)?;
-    let arr: [u8; 4] = bytes
-        .try_into()
-        .map_err(|_| MalformedKind::TruncatedPayload)?;
-    Ok(f32::from_bits(u32::from_le_bytes(arr)))
-}
-
 /// The fixed-point grid: degrees are stored as integer multiples of 1e-7°
 /// (~1.1 cm of latitude) when that representation is bit-exact.
 pub const FIXED_POINT_SCALE: f64 = 1e7;

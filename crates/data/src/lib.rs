@@ -1,12 +1,12 @@
-//! Versioned, checksummed binary containers and streaming sources for LEAD.
+//! Versioned, checksummed binary containers for LEAD.
 //!
 //! CSV ingestion and in-RAM `Vec` datasets cap the scale the pipeline can
-//! train on. This crate provides the `datafmt`/`dataload` split: a compact
-//! binary container format (magic + version + kind header, per-record FNV-1a
-//! checksums, explicit end marker) holding raw trajectories, labelled
-//! training samples, POI databases, and feature tensors, plus the
-//! [`TrajectorySource`] trait that lets the in-RAM path, the CSV reader, and
-//! binary shard files feed consumers through one streaming, shardable API.
+//! train on. This crate provides a compact binary container format (magic +
+//! version + kind header, per-record FNV-1a checksums, explicit end marker)
+//! for the two record kinds the pipeline moves through files: raw
+//! trajectories (written and read by `data-convert`) and labelled training
+//! samples (the `.leadbin` shards `lead_core::source::BinarySampleShards`
+//! streams into training).
 //!
 //! Coordinates and timestamps are delta-encoded; latitude/longitude use a
 //! fixed-point 1e-7-degree grid *only when the round-trip is provably exact
@@ -26,12 +26,10 @@ pub mod codec;
 pub mod container;
 pub mod error;
 pub mod records;
-pub mod source;
 
 pub use container::{ContainerReader, ContainerWriter, MAGIC, MAX_RECORD_LEN, VERSION};
 pub use error::{DataError, MalformedKind, RecordKind};
 pub use records::{
-    LabeledSampleReader, LabeledSampleRecord, LabeledSampleWriter, PoiReader, PoiRecord, PoiWriter,
-    TensorReader, TensorRecord, TensorWriter, TrajectoryReader, TrajectoryWriter,
+    LabeledSampleReader, LabeledSampleRecord, LabeledSampleWriter, TrajectoryReader,
+    TrajectoryWriter,
 };
-pub use source::{BinaryTrajectoryShards, CsvTrajectoryFile, TrajectorySource, VecTrajectories};

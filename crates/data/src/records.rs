@@ -1,4 +1,5 @@
-//! Payload codecs and typed reader/writer pairs for each record kind.
+//! Payload codecs and typed reader/writer pairs for the two record kinds:
+//! raw trajectories and labelled training samples.
 //!
 //! Every payload is self-contained: decoding validates structure (declared
 //! counts vs. bytes present, chronology, coordinate ranges, truth ordering)
@@ -6,8 +7,8 @@
 //! record still surfaces a typed [`DataError::Malformed`].
 
 use crate::codec::{
-    dequantize, quantize_exact, read_f32, read_f64, read_u32, read_varint, read_varint_i64,
-    write_f32, write_f64, write_u32, write_varint, write_varint_i64,
+    dequantize, quantize_exact, read_f64, read_u32, read_varint, read_varint_i64, write_f64,
+    write_u32, write_varint, write_varint_i64,
 };
 use crate::container::{ContainerReader, ContainerWriter};
 use crate::error::{DataError, MalformedKind, RecordKind};
@@ -403,319 +404,6 @@ impl<R: Read> LabeledSampleReader<R> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// POI records
-// ---------------------------------------------------------------------------
-
-/// One point of interest: a category tag and a coordinate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoiRecord {
-    /// Category index (the consumer validates it against its taxonomy).
-    pub category: u16,
-    /// Latitude in degrees.
-    pub lat: f64,
-    /// Longitude in degrees.
-    pub lng: f64,
-}
-
-/// Encodes a batch of POIs as one record payload.
-pub fn encode_poi_batch(pois: &[PoiRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_varint(&mut out, pois.len() as u64);
-    let quantized: Option<Vec<(i64, i64)>> = pois
-        .iter()
-        .map(|p| Some((quantize_exact(p.lat)?, quantize_exact(p.lng)?)))
-        .collect();
-    match quantized {
-        Some(grid) => {
-            out.push(MODE_FIXED);
-            let mut prev_lat = 0i64;
-            let mut prev_lng = 0i64;
-            for (p, (qlat, qlng)) in pois.iter().zip(&grid) {
-                write_varint(&mut out, u64::from(p.category));
-                write_varint_i64(&mut out, qlat - prev_lat);
-                write_varint_i64(&mut out, qlng - prev_lng);
-                prev_lat = *qlat;
-                prev_lng = *qlng;
-            }
-        }
-        None => {
-            out.push(MODE_RAW);
-            for p in pois {
-                write_varint(&mut out, u64::from(p.category));
-                write_f64(&mut out, p.lat);
-                write_f64(&mut out, p.lng);
-            }
-        }
-    }
-    out
-}
-
-/// Decodes a POI batch payload.
-///
-/// # Errors
-///
-/// [`DataError::Malformed`] when the payload is structurally invalid.
-pub fn decode_poi_batch(mut payload: &[u8], record: u64) -> Result<Vec<PoiRecord>, DataError> {
-    let n = read_varint(&mut payload).map_err(|k| malformed(record, k))?;
-    if n > payload.len() as u64 {
-        return Err(malformed(record, MalformedKind::LengthOverflow));
-    }
-    let mode = payload
-        .split_first()
-        .map(|(&m, rest)| {
-            payload = rest;
-            m
-        })
-        .ok_or_else(|| malformed(record, MalformedKind::TruncatedPayload))?;
-    if mode != MODE_FIXED && mode != MODE_RAW {
-        return Err(malformed(record, MalformedKind::BadMode(mode)));
-    }
-    let mut pois = Vec::with_capacity(n as usize);
-    let mut prev_lat = 0i64;
-    let mut prev_lng = 0i64;
-    for _ in 0..n {
-        let cat = read_varint(&mut payload).map_err(|k| malformed(record, k))?;
-        let category =
-            u16::try_from(cat).map_err(|_| malformed(record, MalformedKind::LengthOverflow))?;
-        let (lat, lng) = if mode == MODE_FIXED {
-            let dlat = read_varint_i64(&mut payload).map_err(|k| malformed(record, k))?;
-            let dlng = read_varint_i64(&mut payload).map_err(|k| malformed(record, k))?;
-            let qlat = prev_lat
-                .checked_add(dlat)
-                .ok_or_else(|| malformed(record, MalformedKind::VarintOverflow))?;
-            let qlng = prev_lng
-                .checked_add(dlng)
-                .ok_or_else(|| malformed(record, MalformedKind::VarintOverflow))?;
-            prev_lat = qlat;
-            prev_lng = qlng;
-            (dequantize(qlat), dequantize(qlng))
-        } else {
-            let lat = read_f64(&mut payload).map_err(|k| malformed(record, k))?;
-            let lng = read_f64(&mut payload).map_err(|k| malformed(record, k))?;
-            (lat, lng)
-        };
-        if !(-90.0..=90.0).contains(&lat) || !(-180.0..=180.0).contains(&lng) {
-            return Err(malformed(record, MalformedKind::CoordinateRange));
-        }
-        pois.push(PoiRecord { category, lat, lng });
-    }
-    if !payload.is_empty() {
-        return Err(malformed(record, MalformedKind::TrailingPayload));
-    }
-    Ok(pois)
-}
-
-/// Writes POI containers (each record is a batch of POIs).
-#[derive(Debug)]
-pub struct PoiWriter<W: Write + Seek> {
-    inner: ContainerWriter<W>,
-}
-
-impl<W: Write + Seek> PoiWriter<W> {
-    /// Starts a POI container.
-    ///
-    /// # Errors
-    ///
-    /// [`DataError::Io`] when the header cannot be written.
-    pub fn new(w: W) -> Result<Self, DataError> {
-        Ok(Self {
-            inner: ContainerWriter::new(w, RecordKind::Pois)?,
-        })
-    }
-
-    /// Appends one batch of POIs.
-    ///
-    /// # Errors
-    ///
-    /// As [`ContainerWriter::write_record`].
-    pub fn write_batch(&mut self, pois: &[PoiRecord]) -> Result<(), DataError> {
-        self.inner.write_record(&encode_poi_batch(pois))
-    }
-
-    /// Finishes the container and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// As [`ContainerWriter::finish`].
-    pub fn finish(self) -> Result<W, DataError> {
-        self.inner.finish()
-    }
-}
-
-/// Reads POI containers batch by batch.
-#[derive(Debug)]
-pub struct PoiReader<R: Read> {
-    inner: ContainerReader<R>,
-    next: u64,
-}
-
-impl<R: Read> PoiReader<R> {
-    /// Opens a POI container, validating the header.
-    ///
-    /// # Errors
-    ///
-    /// As [`ContainerReader::new`].
-    pub fn new(r: R) -> Result<Self, DataError> {
-        Ok(Self {
-            inner: ContainerReader::new(r, RecordKind::Pois)?,
-            next: 0,
-        })
-    }
-
-    /// Reads the next batch, or `None` after the verified end marker.
-    ///
-    /// # Errors
-    ///
-    /// As [`ContainerReader::next_record`], plus [`DataError::Malformed`]
-    /// for structurally invalid payloads.
-    pub fn next_batch(&mut self) -> Result<Option<Vec<PoiRecord>>, DataError> {
-        let record = self.next;
-        match self.inner.next_record()? {
-            None => Ok(None),
-            Some(payload) => {
-                let decoded = decode_poi_batch(payload, record)?;
-                self.next += 1;
-                Ok(Some(decoded))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tensor records
-// ---------------------------------------------------------------------------
-
-/// One dense row-major `f32` matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TensorRecord {
-    /// Number of rows.
-    pub rows: u32,
-    /// Number of columns.
-    pub cols: u32,
-    /// Row-major values, `rows * cols` long.
-    pub data: Vec<f32>,
-}
-
-/// Encodes one tensor record payload.
-pub fn encode_tensor(tensor: &TensorRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_varint(&mut out, u64::from(tensor.rows));
-    write_varint(&mut out, u64::from(tensor.cols));
-    for &v in &tensor.data {
-        write_f32(&mut out, v);
-    }
-    out
-}
-
-/// Decodes a tensor record payload.
-///
-/// # Errors
-///
-/// [`DataError::Malformed`] when the payload is structurally invalid —
-/// including a declared shape whose element count does not match the bytes
-/// present ([`MalformedKind::LengthOverflow`] / trailing bytes).
-pub fn decode_tensor(mut payload: &[u8], record: u64) -> Result<TensorRecord, DataError> {
-    let rows_v = read_varint(&mut payload).map_err(|k| malformed(record, k))?;
-    let cols_v = read_varint(&mut payload).map_err(|k| malformed(record, k))?;
-    let rows =
-        u32::try_from(rows_v).map_err(|_| malformed(record, MalformedKind::LengthOverflow))?;
-    let cols =
-        u32::try_from(cols_v).map_err(|_| malformed(record, MalformedKind::LengthOverflow))?;
-    let elems = u64::from(rows) * u64::from(cols);
-    if elems * 4 != payload.len() as u64 {
-        return Err(malformed(
-            record,
-            if elems * 4 > payload.len() as u64 {
-                MalformedKind::LengthOverflow
-            } else {
-                MalformedKind::TrailingPayload
-            },
-        ));
-    }
-    let mut data = Vec::with_capacity(elems as usize);
-    for _ in 0..elems {
-        data.push(read_f32(&mut payload).map_err(|k| malformed(record, k))?);
-    }
-    Ok(TensorRecord { rows, cols, data })
-}
-
-/// Writes tensor containers.
-#[derive(Debug)]
-pub struct TensorWriter<W: Write + Seek> {
-    inner: ContainerWriter<W>,
-}
-
-impl<W: Write + Seek> TensorWriter<W> {
-    /// Starts a tensor container.
-    ///
-    /// # Errors
-    ///
-    /// [`DataError::Io`] when the header cannot be written.
-    pub fn new(w: W) -> Result<Self, DataError> {
-        Ok(Self {
-            inner: ContainerWriter::new(w, RecordKind::Tensors)?,
-        })
-    }
-
-    /// Appends one tensor.
-    ///
-    /// # Errors
-    ///
-    /// As [`ContainerWriter::write_record`].
-    pub fn write(&mut self, tensor: &TensorRecord) -> Result<(), DataError> {
-        self.inner.write_record(&encode_tensor(tensor))
-    }
-
-    /// Finishes the container and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// As [`ContainerWriter::finish`].
-    pub fn finish(self) -> Result<W, DataError> {
-        self.inner.finish()
-    }
-}
-
-/// Reads tensor containers.
-#[derive(Debug)]
-pub struct TensorReader<R: Read> {
-    inner: ContainerReader<R>,
-    next: u64,
-}
-
-impl<R: Read> TensorReader<R> {
-    /// Opens a tensor container, validating the header.
-    ///
-    /// # Errors
-    ///
-    /// As [`ContainerReader::new`].
-    pub fn new(r: R) -> Result<Self, DataError> {
-        Ok(Self {
-            inner: ContainerReader::new(r, RecordKind::Tensors)?,
-            next: 0,
-        })
-    }
-
-    /// Reads the next tensor, or `None` after the verified end marker.
-    ///
-    /// # Errors
-    ///
-    /// As [`ContainerReader::next_record`], plus [`DataError::Malformed`]
-    /// for structurally invalid payloads.
-    pub fn next_record(&mut self) -> Result<Option<TensorRecord>, DataError> {
-        let record = self.next;
-        match self.inner.next_record()? {
-            None => Ok(None),
-            Some(payload) => {
-                let decoded = decode_tensor(payload, record)?;
-                self.next += 1;
-                Ok(Some(decoded))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,45 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn poi_batch_round_trips() {
-        let pois = vec![
-            PoiRecord {
-                category: 3,
-                lat: 31.2001,
-                lng: 121.4001,
-            },
-            PoiRecord {
-                category: 17,
-                lat: 31.2002,
-                lng: 121.4003,
-            },
-        ];
-        let payload = encode_poi_batch(&pois);
-        assert_eq!(decode_poi_batch(&payload, 0).unwrap(), pois);
-    }
-
-    #[test]
-    fn tensor_round_trips_and_shape_mismatch_is_typed() {
-        let t = TensorRecord {
-            rows: 2,
-            cols: 3,
-            data: vec![1.0, -2.5, 3.25, 0.0, f32::MIN_POSITIVE, 1e30],
-        };
-        let payload = encode_tensor(&t);
-        assert_eq!(decode_tensor(&payload, 0).unwrap(), t);
-
-        let mut short = payload.clone();
-        short.truncate(payload.len() - 4);
-        match decode_tensor(&short, 2) {
-            Err(DataError::Malformed {
-                record: 2,
-                kind: MalformedKind::LengthOverflow,
-            }) => {}
-            other => panic!("expected LengthOverflow, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn typed_writers_and_readers_round_trip_files() {
         let t0 = tr(&[(31.0, 121.0, 10), (31.1, 121.1, 70)]);
         let t1 = tr(&[(30.9, 120.9, 5)]);
@@ -892,12 +541,12 @@ mod tests {
 
     #[test]
     fn wrong_kind_is_rejected() {
-        let w = TensorWriter::new(Cursor::new(Vec::new())).unwrap();
+        let w = LabeledSampleWriter::new(Cursor::new(Vec::new())).unwrap();
         let bytes = w.finish().unwrap().into_inner();
         match TrajectoryReader::new(Cursor::new(&bytes)) {
             Err(DataError::WrongKind {
                 expected: RecordKind::Trajectories,
-                found: RecordKind::Tensors,
+                found: RecordKind::LabeledSamples,
             }) => {}
             other => panic!("expected WrongKind, got {other:?}"),
         }

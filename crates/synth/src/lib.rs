@@ -21,13 +21,11 @@
 //! (kinematic simulation with loaded-phase signatures), [`gps`] (sampling
 //! noise and outlier spikes), [`dataset`] (labelled samples and disjoint-truck
 //! splits), [`config`] (all knobs, seeded and deterministic), [`scenario`]
-//! (named adversarial recording pathologies behind seeded configs),
-//! [`binio`] (binary shard export in the `lead-data` container format).
+//! (named adversarial recording pathologies behind seeded configs).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod binio;
 pub mod city;
 pub mod config;
 pub mod dataset;
@@ -44,7 +42,6 @@ pub mod poi {
     pub use lead_core::poi::*;
 }
 
-pub use binio::{read_sample_shards, write_sample_shards};
 pub use city::City;
 pub use config::SynthConfig;
 pub use dataset::{generate_dataset, Dataset, Sample, TruthLabel};

@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
+# The benchmark is its own package with a committed lockfile. Building it
+# here makes a public-API deletion it relies on, or a drift between its
+# lockfile and the workspace crates, fail CI instead of the benchmark run.
+echo "==> cargo build --release --offline --locked (leadbench, all targets)"
+cargo build --release --offline --locked --manifest-path leadbench/Cargo.toml --all-targets
+
 echo "==> cargo test -q"
 cargo test -q
 
