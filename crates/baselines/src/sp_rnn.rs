@@ -19,11 +19,9 @@ use lead_core::poi::PoiDatabase;
 use lead_core::processing::ProcessedTrajectory;
 use lead_geo::Trajectory;
 use lead_nn::layers::{Gru, Linear, Lstm};
-use lead_nn::optim::Adam;
-use lead_nn::train::{AccumTrainer, EarlyStopping};
+use lead_nn::train::Recipe;
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Which recurrent cell classifies the stay points.
@@ -179,34 +177,26 @@ impl SpRnn {
             use_poi: true,
         };
 
-        // Training loop (BCE per stay point, accumulated batches).
-        let mut trainer = AccumTrainer::new(
-            Adam::new(&model.params, lead_config.learning_rate.max(1e-4)),
-            lead_config.batch_accumulation,
-        )
-        .with_clip_norm(lead_config.grad_clip_norm);
-        let mut stopper = EarlyStopping::new(lead_config.early_stopping_patience, 1e-4);
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        let mut curve = Vec::new();
-        for _epoch in 0..rnn_config.max_epochs {
-            order.shuffle(&mut rng);
-            let mut total = 0.0f64;
-            for &i in &order {
-                let (seq, y) = &items[i];
-                let mut g = Graph::new(&model.params);
-                let z = model.logit(&mut g, seq);
-                let loss = g.bce_with_logits_loss(z, &Matrix::from_vec(1, 1, vec![*y]));
-                total += g.scalar(loss) as f64;
-                let grads = g.backward(loss);
-                trainer.submit(&mut model.params, grads);
-            }
-            trainer.flush(&mut model.params);
-            let mean = (total / items.len() as f64) as f32;
-            curve.push(mean);
-            if stopper.observe(mean) {
-                break;
-            }
-        }
+        // Training (BCE per stay point, accumulated batches).
+        let SpRnn {
+            params, cell, out, ..
+        } = &mut model;
+        let (cell, out) = (&*cell, &*out);
+        let (curve, _) = lead_nn::train::fit(
+            params,
+            &Recipe {
+                learning_rate: lead_config.learning_rate.max(1e-4),
+                ..lead_config.recipe(rnn_config.max_epochs)
+            },
+            &items,
+            &[],
+            &mut rng,
+            |item, _| item,
+            |(seq, y), g| {
+                let z = logit(cell, out, g, seq);
+                g.bce_with_logits_loss(z, &Matrix::from_vec(1, 1, vec![*y]))
+            },
+        );
         (model, curve)
     }
 
@@ -215,23 +205,10 @@ impl SpRnn {
         self.kind.name()
     }
 
-    fn logit(&self, g: &mut Graph, seq: &Matrix) -> Var {
-        assert!(seq.rows() > 0, "stay-point feature sequence is empty");
-        let input = g.constant(seq.clone());
-        let xs: Vec<Var> = (0..seq.rows()).map(|r| g.row(input, r)).collect();
-        let last = match &self.cell {
-            // lint: allow(panic): xs non-empty is asserted above, and the RNN preserves length
-            Cell::Gru(cell) => *cell.forward(g, &xs).last().expect("non-empty"),
-            // lint: allow(panic): xs non-empty is asserted above, and the RNN preserves length
-            Cell::Lstm(cell) => *cell.forward(g, &xs).last().expect("non-empty"),
-        };
-        self.out.forward(g, last)
-    }
-
     /// The l/u probability of one stay point's feature sequence.
     pub fn stay_probability(&self, seq: &Matrix) -> f32 {
         let mut g = Graph::new(&self.params);
-        let z = self.logit(&mut g, seq);
+        let z = logit(&self.cell, &self.out, &mut g, seq);
         let p = g.sigmoid(z);
         g.value(p).at(0, 0)
     }
@@ -261,6 +238,21 @@ impl SpRnn {
             unloading,
         })
     }
+}
+
+/// The logit of one stay point's feature sequence: the cell's last hidden
+/// state through the output layer.
+fn logit(cell: &Cell, out: &Linear, g: &mut Graph, seq: &Matrix) -> Var {
+    assert!(seq.rows() > 0, "stay-point feature sequence is empty");
+    let input = g.constant(seq.clone());
+    let xs: Vec<Var> = (0..seq.rows()).map(|r| g.row(input, r)).collect();
+    let last = match cell {
+        // lint: allow(panic, panic-path): xs non-empty is asserted above, and the RNN preserves length
+        Cell::Gru(cell) => *cell.forward(g, &xs).last().expect("non-empty"),
+        // lint: allow(panic, panic-path): xs non-empty is asserted above, and the RNN preserves length
+        Cell::Lstm(cell) => *cell.forward(g, &xs).last().expect("non-empty"),
+    };
+    out.forward(g, last)
 }
 
 #[cfg(test)]

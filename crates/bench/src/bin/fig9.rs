@@ -65,7 +65,7 @@ fn main() {
     for (name, kind, attention) in variants {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut ae = Autoencoder::new(&cfg, kind, attention, &mut rng);
-        let (curve, _) = ae.train(&samples, None, &cfg, &mut rng, &NOOP);
+        let (curve, _) = ae.train(&samples, &[], &cfg, &mut rng, &NOOP);
         let min = curve.iter().cloned().fold(f32::INFINITY, f32::min);
         let argmin = curve
             .iter()

@@ -1,6 +1,9 @@
 //! Every hyper-parameter of the paper (Section VI-A, "Implementation
 //! Details"), at its published value.
 
+use lead_nn::train::Recipe;
+use lead_obs::probe::NOOP;
+
 /// Configuration of the LEAD framework.
 ///
 /// Defaults reproduce the paper exactly; the only knobs without published
@@ -144,6 +147,24 @@ impl LeadConfig {
     /// compressor (`[SP-c-vec | MP-c-vec]`).
     pub fn c_vec_dim(&self) -> usize {
         2 * self.ae_hidden
+    }
+
+    /// The training [`Recipe`] of a model trained for up to `max_epochs`
+    /// epochs, unprobed: a probed model sets `probe`, `scope` and `loss`,
+    /// and the group detectors set [`Self::detector_weight_decay`], on top.
+    pub fn recipe(&self, max_epochs: usize) -> Recipe<'static> {
+        Recipe {
+            learning_rate: self.learning_rate,
+            weight_decay: 0.0,
+            batch: self.batch_accumulation,
+            clip_norm: self.grad_clip_norm,
+            patience: self.early_stopping_patience,
+            max_epochs,
+            num_threads: self.num_threads,
+            probe: &NOOP,
+            scope: "",
+            loss: "",
+        }
     }
 
     /// Validates internal consistency; returns the first violated constraint.

@@ -8,10 +8,10 @@
 
 use crate::config::LeadConfig;
 use lead_nn::layers::{Linear, StackedBiLstm};
-use lead_nn::optim::Adam;
-use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
+use lead_nn::train::Recipe;
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// One training item: a group's subgroup c-vec lists paired with its flat
 /// ε-smoothed label distribution.
@@ -113,7 +113,7 @@ impl GroupDetector {
 
     /// Trains against ε-smoothed labels with the KLD loss (Equations
     /// (11)–(12)). Returns `(train_curve, val_curve)`: the per-epoch mean
-    /// training KLD (Figure 10) and, when `val_items` is given, the
+    /// training KLD (Figure 10) and, when `val_items` is non-empty, the
     /// per-epoch validation KLD. Early stopping observes the training loss:
     /// at this dataset scale the validation split is too small for its loss
     /// to be a reliable stopping signal (it is recorded for reporting and
@@ -131,132 +131,60 @@ impl GroupDetector {
     pub fn train<R: Rng>(
         &mut self,
         items: &[GroupItem],
-        val_items: Option<&[GroupItem]>,
+        val_items: &[GroupItem],
         config: &LeadConfig,
         rng: &mut R,
         probe: &dyn lead_obs::probe::Probe,
         scope: &str,
     ) -> (Vec<f32>, Vec<f32>) {
-        assert!(!items.is_empty(), "detector training needs samples");
-        // Metric names are dynamic (scope-prefixed); build them once up front
-        // so the per-epoch hot loop never formats when a probe is attached —
-        // and not at all when it is not.
-        let names = probe.enabled().then(|| {
-            (
-                format!("{scope}.epoch"),
-                format!("{scope}.epoch_kld"),
-                format!("{scope}.epoch_val_kld"),
-            )
-        });
-        let mut trainer = AccumTrainer::new(
-            Adam::new(&self.params, config.learning_rate)
-                .with_weight_decay(config.detector_weight_decay),
-            config.batch_accumulation,
-        )
-        .with_clip_norm(config.grad_clip_norm)
-        .with_probe(probe, scope);
-        let mut stopper = EarlyStopping::new(config.early_stopping_patience, 1e-4);
-        let mut plan = EpochPlan::new(items.len());
-        let mut train_curve = Vec::new();
-        let mut val_curve = Vec::new();
-        let stack = &self.stack;
-        let out = &self.out;
-        for _epoch in 0..config.detector_max_epochs {
-            let _epoch_span = names
-                .as_ref()
-                .map(|(epoch_name, _, _)| lead_obs::clock::span(probe, epoch_name));
-            plan.reshuffle(rng);
-            let mut total = 0.0f64;
-            for window in plan.windows(config.batch_accumulation) {
-                // Augmentation: jitter the frozen compressed vectors so the
-                // detector cannot memorise exact embeddings of the (small)
-                // training fleet. Noise is drawn serially, in item order,
-                // *before* the parallel window so the rng stream — and thus
-                // the whole training trajectory — is identical to the serial
-                // per-sample loop for every `num_threads`.
-                let prepared: Vec<(Vec<Vec<Matrix>>, &Matrix)> = window
-                    .iter()
-                    .map(|&i| {
-                        let (group, label) = &items[i];
-                        let noisy: Vec<Vec<Matrix>> = if config.cvec_noise_std > 0.0 {
-                            group
-                                .iter()
-                                .map(|sub| {
-                                    sub.iter()
-                                        .map(|m| {
-                                            let mut jittered = m.clone();
-                                            for v in jittered.data_mut() {
-                                                *v += gauss(rng) * config.cvec_noise_std;
-                                            }
-                                            jittered
-                                        })
-                                        .collect()
+        let (stack, out) = (&self.stack, &self.out);
+        let noise_std = config.cvec_noise_std;
+        lead_nn::train::fit(
+            &mut self.params,
+            &Recipe {
+                weight_decay: config.detector_weight_decay,
+                probe,
+                scope,
+                loss: "kld",
+                ..config.recipe(config.detector_max_epochs)
+            },
+            items,
+            val_items,
+            rng,
+            // Augmentation: jitter the frozen compressed vectors so the
+            // detector cannot memorise exact embeddings of the (small)
+            // training fleet. `fit` draws it serially, in item order, before
+            // each parallel window, so the rng stream is the same for every
+            // `num_threads`; validation items are scored unjittered.
+            |item, rng| {
+                let (group, label) = item;
+                if noise_std > 0.0 {
+                    let noisy = group
+                        .iter()
+                        .map(|sub| {
+                            sub.iter()
+                                .map(|m| {
+                                    let mut jittered = m.clone();
+                                    for v in jittered.data_mut() {
+                                        *v += gauss(rng) * noise_std;
+                                    }
+                                    jittered
                                 })
                                 .collect()
-                        } else {
-                            group.clone()
-                        };
-                        (noisy, label)
-                    })
-                    .collect();
-                let losses = trainer.submit_window(
-                    &mut self.params,
-                    config.num_threads,
-                    &prepared,
-                    |_, (group, label), ps| {
-                        let refs: Vec<Vec<&Matrix>> =
-                            group.iter().map(|sub| sub.iter().collect()).collect();
-                        let mut g = Graph::new(ps);
-                        let p = forward_graph_parts(stack, out, &mut g, &refs);
-                        let loss = g.kld_loss(p, label);
-                        (g.scalar(loss), g.backward(loss))
-                    },
-                );
-                for l in losses {
-                    total += l as f64;
+                        })
+                        .collect();
+                    Cow::Owned((noisy, label.clone()))
+                } else {
+                    Cow::Borrowed(item)
                 }
-            }
-            trainer.flush(&mut self.params);
-            let train_mean = lead_nn::num::narrow_f64(total / items.len() as f64);
-            train_curve.push(train_mean);
-            if let Some((_, kld_name, _)) = names.as_ref() {
-                probe.observe(kld_name, f64::from(train_mean));
-            }
-            if let Some(v) = val_items {
-                if !v.is_empty() {
-                    let val_mean = self.evaluate_par(v, config.num_threads);
-                    val_curve.push(val_mean);
-                    if let Some((_, _, val_name)) = names.as_ref() {
-                        probe.observe(val_name, f64::from(val_mean));
-                    }
-                }
-            }
-            if stopper.observe(train_mean) {
-                break;
-            }
-        }
-        (train_curve, val_curve)
-    }
-
-    /// Mean KLD over `items` without training.
-    pub fn evaluate(&self, items: &[GroupItem]) -> f32 {
-        self.evaluate_par(items, 1)
-    }
-
-    /// [`Self::evaluate`] on `num_threads` workers (0 = all cores). The sum
-    /// over items runs in item order, so the result is bit-identical for
-    /// every thread count.
-    pub fn evaluate_par(&self, items: &[GroupItem], num_threads: usize) -> f32 {
-        assert!(!items.is_empty(), "evaluation needs samples");
-        let per_item = lead_nn::par::par_map(num_threads, items, |_, (group, label)| {
-            let refs: Vec<Vec<&Matrix>> = group.iter().map(|sub| sub.iter().collect()).collect();
-            let mut g = Graph::new(&self.params);
-            let p = self.forward_graph(&mut g, &refs);
-            let loss = g.kld_loss(p, label);
-            g.scalar(loss)
-        });
-        let total: f64 = per_item.iter().map(|&l| l as f64).sum();
-        lead_nn::num::narrow_f64(total / items.len() as f64)
+            },
+            |(group, label), g| {
+                let refs: Vec<Vec<&Matrix>> =
+                    group.iter().map(|sub| sub.iter().collect()).collect();
+                let p = forward_graph_parts(stack, out, g, &refs);
+                g.kld_loss(p, label)
+            },
+        )
     }
 }
 
@@ -382,7 +310,7 @@ mod tests {
                 (groups, label)
             })
             .collect();
-        let (curve, _) = det.train(&items, None, &c, &mut rng, &lead_obs::probe::NOOP, "det");
+        let (curve, _) = det.train(&items, &[], &c, &mut rng, &lead_obs::probe::NOOP, "det");
         assert!(curve.last().unwrap() < &curve[0], "curve {curve:?}");
 
         let refs: Vec<Vec<&Matrix>> = items[0].0.iter().map(|s| s.iter().collect()).collect();

@@ -6,35 +6,27 @@
 
 use crate::config::LeadConfig;
 use lead_nn::layers::Linear;
-use lead_nn::optim::Adam;
-use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
+use lead_nn::train::Recipe;
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::Rng;
 
 /// The per-candidate MLP scorer.
 pub struct MlpDetector {
     params: ParamSet,
-    l1: Linear,
-    l2: Linear,
-    l3: Linear,
-    l4: Linear,
+    layers: [Linear; 4],
 }
 
 impl MlpDetector {
     /// Builds the paper's 64/32/32/1 architecture over `c_vec_dim` inputs.
     pub fn new<R: Rng>(c_vec_dim: usize, rng: &mut R) -> Self {
         let mut ps = ParamSet::new();
-        let l1 = Linear::new(&mut ps, rng, "mlp.l1", c_vec_dim, 64);
-        let l2 = Linear::new(&mut ps, rng, "mlp.l2", 64, 32);
-        let l3 = Linear::new(&mut ps, rng, "mlp.l3", 32, 32);
-        let l4 = Linear::new(&mut ps, rng, "mlp.l4", 32, 1);
-        Self {
-            params: ps,
-            l1,
-            l2,
-            l3,
-            l4,
-        }
+        let layers = [
+            Linear::new(&mut ps, rng, "mlp.l1", c_vec_dim, 64),
+            Linear::new(&mut ps, rng, "mlp.l2", 64, 32),
+            Linear::new(&mut ps, rng, "mlp.l3", 32, 32),
+            Linear::new(&mut ps, rng, "mlp.l4", 32, 1),
+        ];
+        Self { params: ps, layers }
     }
 
     /// The trainable parameters (persistence).
@@ -47,23 +39,10 @@ impl MlpDetector {
         &mut self.params
     }
 
-    /// Records the logit of one c-vec (sigmoid is folded into the loss /
-    /// applied at inference).
-    fn logit(&self, g: &mut Graph, c_vec: &Matrix) -> Var {
-        let x = g.constant(c_vec.clone());
-        let a = self.l1.forward(g, x);
-        let a = g.relu(a);
-        let b = self.l2.forward(g, a);
-        let b = g.relu(b);
-        let c = self.l3.forward(g, b);
-        let c = g.relu(c);
-        self.l4.forward(g, c)
-    }
-
     /// The sigmoid probability of a single candidate.
     pub fn probability(&self, c_vec: &Matrix) -> f32 {
         let mut g = Graph::new(&self.params);
-        let z = self.logit(&mut g, c_vec);
+        let z = logit(&self.layers, &mut g, c_vec);
         let p = g.sigmoid(z);
         g.value(p).at(0, 0)
     }
@@ -78,7 +57,7 @@ impl MlpDetector {
     ///
     /// `items` pairs each trajectory's candidate c-vecs with the index of the
     /// loaded one. Returns `(train_curve, val_curve)`: the per-epoch mean BCE
-    /// and, when `val_items` is given, the per-epoch validation BCE
+    /// and, when `val_items` is non-empty, the per-epoch validation BCE
     /// (reporting only; early stopping observes the training loss).
     ///
     /// `probe` records a `det.mlp.epoch` span plus `det.mlp.epoch_bce` /
@@ -89,75 +68,46 @@ impl MlpDetector {
     pub fn train<R: Rng>(
         &mut self,
         items: &[(Vec<Matrix>, usize)],
-        val_items: Option<&[(Vec<Matrix>, usize)]>,
+        val_items: &[(Vec<Matrix>, usize)],
         config: &LeadConfig,
         rng: &mut R,
         probe: &dyn lead_obs::probe::Probe,
     ) -> (Vec<f32>, Vec<f32>) {
-        assert!(!items.is_empty(), "MLP training needs samples");
-        let mut trainer = AccumTrainer::new(
-            Adam::new(&self.params, config.learning_rate),
-            config.batch_accumulation,
-        )
-        .with_clip_norm(config.grad_clip_norm)
-        .with_probe(probe, "det.mlp");
-        let mut stopper = EarlyStopping::new(config.early_stopping_patience, 1e-4);
-        let mut plan = EpochPlan::new(items.len());
-        let mut train_curve = Vec::new();
-        let mut val_curve = Vec::new();
-        for _epoch in 0..config.detector_max_epochs {
-            let _epoch_span = lead_obs::clock::span(probe, "det.mlp.epoch");
-            plan.reshuffle(rng);
-            let mut total = 0.0f64;
-            for &i in plan.order() {
-                let (c_vecs, truth_idx) = &items[i];
-                let mut g = Graph::new(&self.params);
-                let logits: Vec<Var> = c_vecs.iter().map(|c| self.logit(&mut g, c)).collect();
+        let layers = &self.layers;
+        lead_nn::train::fit(
+            &mut self.params,
+            &Recipe {
+                probe,
+                scope: "det.mlp",
+                loss: "bce",
+                ..config.recipe(config.detector_max_epochs)
+            },
+            items,
+            val_items,
+            rng,
+            |item, _| item,
+            |(c_vecs, truth_idx), g| {
+                let logits: Vec<Var> = c_vecs.iter().map(|c| logit(layers, g, c)).collect();
                 let row = g.concat_cols(&logits);
                 let mut y = vec![0.0f32; c_vecs.len()];
                 y[*truth_idx] = 1.0;
-                let loss = g.bce_with_logits_loss(row, &Matrix::row_vector(y));
-                total += g.scalar(loss) as f64;
-                let grads = g.backward(loss);
-                trainer.submit(&mut self.params, grads);
-            }
-            trainer.flush(&mut self.params);
-            let train_mean = lead_nn::num::narrow_f64(total / items.len() as f64);
-            train_curve.push(train_mean);
-            if probe.enabled() {
-                probe.observe("det.mlp.epoch_bce", f64::from(train_mean));
-            }
-            if let Some(v) = val_items {
-                if !v.is_empty() {
-                    let val_mean = self.evaluate(v);
-                    val_curve.push(val_mean);
-                    if probe.enabled() {
-                        probe.observe("det.mlp.epoch_val_bce", f64::from(val_mean));
-                    }
-                }
-            }
-            if stopper.observe(train_mean) {
-                break;
-            }
-        }
-        (train_curve, val_curve)
+                g.bce_with_logits_loss(row, &Matrix::row_vector(y))
+            },
+        )
     }
+}
 
-    /// Mean BCE over `items` without training.
-    pub fn evaluate(&self, items: &[(Vec<Matrix>, usize)]) -> f32 {
-        assert!(!items.is_empty(), "evaluation needs samples");
-        let mut total = 0.0f64;
-        for (c_vecs, truth_idx) in items {
-            let mut g = Graph::new(&self.params);
-            let logits: Vec<Var> = c_vecs.iter().map(|c| self.logit(&mut g, c)).collect();
-            let row = g.concat_cols(&logits);
-            let mut y = vec![0.0f32; c_vecs.len()];
-            y[*truth_idx] = 1.0;
-            let loss = g.bce_with_logits_loss(row, &Matrix::row_vector(y));
-            total += g.scalar(loss) as f64;
+/// Records the logit of one c-vec (sigmoid is folded into the loss /
+/// applied at inference): the layers with a ReLU between each pair.
+fn logit(layers: &[Linear; 4], g: &mut Graph, c_vec: &Matrix) -> Var {
+    let mut x = g.constant(c_vec.clone());
+    for (k, layer) in layers.iter().enumerate() {
+        if k > 0 {
+            x = g.relu(x);
         }
-        lead_nn::num::narrow_f64(total / items.len() as f64)
+        x = layer.forward(g, x);
     }
+    x
 }
 
 #[cfg(test)]
@@ -197,7 +147,7 @@ mod tests {
                 (cv, 2usize)
             })
             .collect();
-        let (curve, _) = det.train(&items, None, &cfg, &mut rng, &lead_obs::probe::NOOP);
+        let (curve, _) = det.train(&items, &[], &cfg, &mut rng, &lead_obs::probe::NOOP);
         assert!(curve.last().unwrap() < &curve[0]);
         let p_pos = det.probability(&cvec(0.8, dim, 1234));
         let p_neg = det.probability(&cvec(-0.2, dim, 4321));

@@ -21,8 +21,7 @@
 use crate::config::LeadConfig;
 use crate::features::{CandidateFeatures, TrajectoryFeatures, FEATURE_DIM};
 use crate::processing::Candidate;
-use lead_nn::optim::Adam;
-use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
+use lead_nn::train::Recipe;
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -257,96 +256,37 @@ impl Autoencoder {
     /// Trains the autoencoder self-supervised on the given candidate feature
     /// sequences (pre-shuffled order is re-shuffled each epoch). Returns
     /// `(train_curve, val_curve)`: the per-epoch mean MSE (Figure 9) and,
-    /// when `val_samples` is given, the per-epoch validation MSE (reporting
+    /// when `val_samples` is non-empty, the per-epoch validation MSE (reporting
     /// only; early stopping observes the training loss).
     ///
     /// `probe` records an `ae.epoch` span plus `ae.epoch_mse` /
     /// `ae.epoch_val_mse` observations and the trainer's `ae.grad_norm` /
-    /// `ae.optim_steps`. Metrics are write-only — the trained weights are
-    /// identical for any probe, [`lead_obs::probe::NOOP`] included.
+    /// `ae.optim_steps` (see [`lead_nn::train::fit`]). Metrics are
+    /// write-only — the trained weights are identical for any probe,
+    /// [`lead_obs::probe::NOOP`] included.
     pub fn train<R: Rng>(
         &mut self,
         samples: &[CandidateFeatures],
-        val_samples: Option<&[CandidateFeatures]>,
+        val_samples: &[CandidateFeatures],
         config: &LeadConfig,
         rng: &mut R,
         probe: &dyn lead_obs::probe::Probe,
     ) -> (Vec<f32>, Vec<f32>) {
-        assert!(!samples.is_empty(), "autoencoder training needs samples");
-        let mut trainer = AccumTrainer::new(
-            Adam::new(&self.params, config.learning_rate),
-            config.batch_accumulation,
+        let (arch, hidden) = (&self.arch, self.hidden);
+        lead_nn::train::fit(
+            &mut self.params,
+            &Recipe {
+                probe,
+                scope: "ae",
+                loss: "mse",
+                ..config.recipe(config.ae_max_epochs)
+            },
+            samples,
+            val_samples,
+            rng,
+            |s, _| s,
+            |s, g| reconstruction_loss_arch(arch, hidden, g, s),
         )
-        .with_clip_norm(config.grad_clip_norm)
-        .with_probe(probe, "ae");
-        let mut stopper = EarlyStopping::new(config.early_stopping_patience, 1e-4);
-        let mut plan = EpochPlan::new(samples.len());
-        let mut train_curve = Vec::new();
-        let mut val_curve = Vec::new();
-        let arch = &self.arch;
-        let hidden = self.hidden;
-        for _epoch in 0..config.ae_max_epochs {
-            let _epoch_span = lead_obs::clock::span(probe, "ae.epoch");
-            plan.reshuffle(rng);
-            let mut total = 0.0f64;
-            // Each accumulation window's forward/backward passes run
-            // data-parallel against the parameter snapshot; gradients are
-            // submitted in item order, so every `num_threads` value yields
-            // the exact optimiser trajectory of the serial per-sample loop.
-            for window in plan.windows(config.batch_accumulation) {
-                let losses = trainer.submit_window(
-                    &mut self.params,
-                    config.num_threads,
-                    window,
-                    |_, &i, ps| {
-                        let mut g = Graph::new(ps);
-                        let loss = reconstruction_loss_arch(arch, hidden, &mut g, &samples[i]);
-                        (g.scalar(loss), g.backward(loss))
-                    },
-                );
-                for l in losses {
-                    total += l as f64;
-                }
-            }
-            trainer.flush(&mut self.params);
-            let train_mean = lead_nn::num::narrow_f64(total / samples.len() as f64);
-            train_curve.push(train_mean);
-            if probe.enabled() {
-                probe.observe("ae.epoch_mse", f64::from(train_mean));
-            }
-            if let Some(v) = val_samples {
-                if !v.is_empty() {
-                    let val_mean = self.evaluate_par(v, config.num_threads);
-                    val_curve.push(val_mean);
-                    if probe.enabled() {
-                        probe.observe("ae.epoch_val_mse", f64::from(val_mean));
-                    }
-                }
-            }
-            if stopper.observe(train_mean) {
-                break;
-            }
-        }
-        (train_curve, val_curve)
-    }
-
-    /// Computes the loss of every sample without training (validation).
-    pub fn evaluate(&self, samples: &[CandidateFeatures]) -> f32 {
-        self.evaluate_par(samples, 1)
-    }
-
-    /// [`Self::evaluate`] on `num_threads` workers (0 = all cores). The sum
-    /// over samples runs in item order, so the result is bit-identical for
-    /// every thread count.
-    pub fn evaluate_par(&self, samples: &[CandidateFeatures], num_threads: usize) -> f32 {
-        assert!(!samples.is_empty(), "evaluation needs samples");
-        let per_sample = lead_nn::par::par_map(num_threads, samples, |_, s| {
-            let mut g = Graph::new(&self.params);
-            let loss = self.reconstruction_loss(&mut g, s);
-            g.scalar(loss)
-        });
-        let total: f64 = per_sample.iter().map(|&l| l as f64).sum();
-        lead_nn::num::narrow_f64(total / samples.len() as f64)
     }
 
     /// Encodes a single candidate into its `c-vec` value (no gradients kept).
@@ -564,7 +504,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ae = Autoencoder::new(&cfg, EncoderKind::Hierarchical, true, &mut rng);
         let samples: Vec<CandidateFeatures> = (0..8).map(|s| toy_candidate(s, 2)).collect();
-        let (curve, _) = ae.train(&samples, None, &cfg, &mut rng, &lead_obs::probe::NOOP);
+        let (curve, _) = ae.train(&samples, &[], &cfg, &mut rng, &lead_obs::probe::NOOP);
         assert!(curve.len() >= 2);
         let first = curve[0];
         let last = *curve.last().unwrap();
@@ -690,11 +630,16 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_is_deterministic() {
+    fn validation_loss_is_deterministic() {
         let cfg = small_cfg();
         let mut rng = StdRng::seed_from_u64(6);
         let ae = Autoencoder::new(&cfg, EncoderKind::Hierarchical, true, &mut rng);
         let samples = vec![toy_candidate(1, 3), toy_candidate(2, 2)];
-        assert_eq!(ae.evaluate(&samples), ae.evaluate(&samples));
+        let val = || {
+            lead_nn::train::mean_loss(ae.params(), &samples, 1, |s, g| {
+                ae.reconstruction_loss(g, s)
+            })
+        };
+        assert_eq!(val().to_bits(), val().to_bits());
     }
 }

@@ -40,6 +40,18 @@ pub enum DetectorChoice {
     Mlp,
 }
 
+impl DetectorChoice {
+    /// Whether this choice has a forward detector.
+    fn has_forward(self) -> bool {
+        matches!(self, Self::Both | Self::ForwardOnly)
+    }
+
+    /// Whether this choice has a backward detector.
+    fn has_backward(self) -> bool {
+        matches!(self, Self::Both | Self::BackwardOnly)
+    }
+}
+
 /// The variant switchboard of Section VI-A.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeadOptions {
@@ -253,22 +265,14 @@ impl Lead {
         };
         let autoencoder = Autoencoder::new(config, kind, options.use_attention, &mut rng);
         let c_dim = autoencoder.c_vec_dim();
-        let (mut forward_det, mut backward_det, mut mlp) = (None, None, None);
-        match options.detector {
-            DetectorChoice::Both => {
-                forward_det = Some(GroupDetector::new(config, c_dim, &mut rng));
-                backward_det = Some(GroupDetector::new(config, c_dim, &mut rng));
-            }
-            DetectorChoice::ForwardOnly => {
-                forward_det = Some(GroupDetector::new(config, c_dim, &mut rng));
-            }
-            DetectorChoice::BackwardOnly => {
-                backward_det = Some(GroupDetector::new(config, c_dim, &mut rng));
-            }
-            DetectorChoice::Mlp => {
-                mlp = Some(MlpDetector::new(c_dim, &mut rng));
-            }
-        }
+        let choice = options.detector;
+        let forward_det = choice
+            .has_forward()
+            .then(|| GroupDetector::new(config, c_dim, &mut rng));
+        let backward_det = choice
+            .has_backward()
+            .then(|| GroupDetector::new(config, c_dim, &mut rng));
+        let mlp = (choice == DetectorChoice::Mlp).then(|| MlpDetector::new(c_dim, &mut rng));
         Ok(Lead {
             config: config.clone(),
             options,
@@ -319,8 +323,8 @@ impl Lead {
     /// The offline stage: trains the hierarchical autoencoder
     /// (self-supervised) and the detector(s) (supervised by archived loaded
     /// trajectories) on the training split. Early stopping observes the
-    /// training loss; prefer [`Self::fit_with_val`] when a validation split
-    /// is available (the paper's protocol).
+    /// training loss; [`Self::fit_with_val`] adds per-epoch validation
+    /// curves to the report.
     ///
     /// # Errors
     /// [`LeadError::Config`] on an invalid configuration;
@@ -334,9 +338,11 @@ impl Lead {
         Self::fit_opts(samples, &[], poi_db, config, options, &NOOP)
     }
 
-    /// [`Self::fit`] with a validation split: early stopping observes the
-    /// validation losses and the best-validation-epoch weights are restored
-    /// after each training stage (the paper's Early Stopping protocol).
+    /// [`Self::fit`] with a validation split, scored after every epoch of
+    /// every training stage; the autoencoder's and group detectors' scores
+    /// fill the report's `*_val_*` curves. The split is for reporting only:
+    /// early stopping still observes the training loss, and the last
+    /// epoch's weights are kept (no best-validation restore).
     ///
     /// # Errors
     /// [`LeadError::Config`] on an invalid configuration;
@@ -534,9 +540,8 @@ impl Lead {
         };
         let ae_samples = sample_candidates(&processed, &features, &mut rng);
         let ae_val_samples = sample_candidates(&val_processed, &val_features, &mut rng);
-        let val_opt = (!ae_val_samples.is_empty()).then_some(ae_val_samples.as_slice());
         let (ae_curve, ae_val_curve) =
-            autoencoder.train(&ae_samples, val_opt, config, &mut rng, probe);
+            autoencoder.train(&ae_samples, &ae_val_samples, config, &mut rng, probe);
         report.ae_curve = ae_curve;
         report.ae_val_curve = ae_val_curve;
         drop(ae_samples);
@@ -561,9 +566,6 @@ impl Lead {
         // ---- detectors ---------------------------------------------------------
         let detector_span = clock::span(probe, "fit.detectors");
         let c_dim = autoencoder.c_vec_dim();
-        let mut forward_det = None;
-        let mut backward_det = None;
-        let mut mlp = None;
         let detector_items = |set: &[(ProcessedTrajectory, Candidate)],
                               enc: &[Vec<Matrix>],
                               forward: bool|
@@ -573,20 +575,15 @@ impl Lead {
                 let n = proc.num_stay_points();
                 let by_cand = candidate_index_map(n);
                 let groups = build_groups(n);
-                let side = if forward {
-                    &groups.forward
+                let (side, order) = if forward {
+                    (&groups.forward, forward_flat_order(n))
                 } else {
-                    &groups.backward
+                    (&groups.backward, backward_flat_order(n))
                 };
                 let group: Vec<Vec<Matrix>> = side
                     .iter()
                     .map(|sub| sub.iter().map(|c| cvecs[by_cand(*c)].clone()).collect())
                     .collect();
-                let order = if forward {
-                    forward_flat_order(n)
-                } else {
-                    backward_flat_order(n)
-                };
                 let label = smoothed_label(&order, *truth, config.label_epsilon);
                 (group, label)
             })
@@ -596,56 +593,40 @@ impl Lead {
                 let mut det = GroupDetector::new(config, c_dim, rng);
                 let items = detector_items(&processed, &encoded, forward);
                 let val_items = detector_items(&val_processed, &val_encoded, forward);
-                let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
                 let scope = if forward { "det.fwd" } else { "det.bwd" };
-                let (curve, val_curve) = det.train(&items, val_opt, config, rng, probe, scope);
+                let (curve, val_curve) = det.train(&items, &val_items, config, rng, probe, scope);
                 (det, curve, val_curve)
             };
 
-        match options.detector {
-            DetectorChoice::Both => {
-                let (d, c, v) = train_group_detector(true, &mut rng);
-                forward_det = Some(d);
-                report.forward_kld_curve = c;
-                report.forward_val_kld_curve = v;
-                let (d, c, v) = train_group_detector(false, &mut rng);
-                backward_det = Some(d);
-                report.backward_kld_curve = c;
-                report.backward_val_kld_curve = v;
-            }
-            DetectorChoice::ForwardOnly => {
-                let (d, c, v) = train_group_detector(true, &mut rng);
-                forward_det = Some(d);
-                report.forward_kld_curve = c;
-                report.forward_val_kld_curve = v;
-            }
-            DetectorChoice::BackwardOnly => {
-                let (d, c, v) = train_group_detector(false, &mut rng);
-                backward_det = Some(d);
-                report.backward_kld_curve = c;
-                report.backward_val_kld_curve = v;
-            }
-            DetectorChoice::Mlp => {
-                let mut det = MlpDetector::new(c_dim, &mut rng);
-                let mlp_items = |set: &[(ProcessedTrajectory, Candidate)],
-                                 enc: &[Vec<Matrix>]|
-                 -> Vec<(Vec<Matrix>, usize)> {
-                    set.iter()
-                        .zip(enc)
-                        .map(|((proc, truth), cvecs)| {
-                            let n = proc.num_stay_points();
-                            let idx = candidate_index_map(n)(*truth);
-                            (cvecs.clone(), idx)
-                        })
-                        .collect()
-                };
-                let items = mlp_items(&processed, &encoded);
-                let val_items = mlp_items(&val_processed, &val_encoded);
-                let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
-                report.mlp_curve = det.train(&items, val_opt, config, &mut rng, probe).0;
-                mlp = Some(det);
-            }
-        }
+        let forward_det = options.detector.has_forward().then(|| {
+            let (d, c, v) = train_group_detector(true, &mut rng);
+            (report.forward_kld_curve, report.forward_val_kld_curve) = (c, v);
+            d
+        });
+        let backward_det = options.detector.has_backward().then(|| {
+            let (d, c, v) = train_group_detector(false, &mut rng);
+            (report.backward_kld_curve, report.backward_val_kld_curve) = (c, v);
+            d
+        });
+        let mlp = (options.detector == DetectorChoice::Mlp).then(|| {
+            let mut det = MlpDetector::new(c_dim, &mut rng);
+            let mlp_items = |set: &[(ProcessedTrajectory, Candidate)],
+                             enc: &[Vec<Matrix>]|
+             -> Vec<(Vec<Matrix>, usize)> {
+                set.iter()
+                    .zip(enc)
+                    .map(|((proc, truth), cvecs)| {
+                        let n = proc.num_stay_points();
+                        let idx = candidate_index_map(n)(*truth);
+                        (cvecs.clone(), idx)
+                    })
+                    .collect()
+            };
+            let items = mlp_items(&processed, &encoded);
+            let val_items = mlp_items(&val_processed, &val_encoded);
+            report.mlp_curve = det.train(&items, &val_items, config, &mut rng, probe).0;
+            det
+        });
         drop(detector_span);
 
         let lead = Lead {

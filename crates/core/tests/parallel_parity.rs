@@ -290,11 +290,59 @@ proptest! {
 /// before the tape-free inference path existed.
 const GOLDEN: u64 = 0xc0f1_40f4_bc5a_452d;
 
+/// The hash `single_detector_variants_match_the_golden_hash` recorded
+/// before the training loops shared one epoch driver.
+const GOLDEN_SINGLE_DETECTOR: u64 = 0x6afa_6455_edac_fe55;
+
 /// FNV-1a over little-endian bytes.
 fn fnv(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// Fits the fixture under each of `variants` and hashes the serialised
+/// model bytes, every loss-curve bit (the MLP's curve too when `with_mlp`)
+/// and every detection-probability bit of five held-out days.
+fn golden_hash(variants: &[LeadOptions], with_mlp: bool) -> u64 {
+    let (train, val) = train_val_sets();
+    let db = poi_db();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let floats = |h: u64, xs: &[f32]| {
+        let h = fnv(h, &(xs.len() as u64).to_le_bytes());
+        xs.iter().fold(h, |h, x| fnv(h, &x.to_bits().to_le_bytes()))
+    };
+    for &options in variants {
+        let (model, report) =
+            Lead::fit_with_val(&train, &val, &db, &LeadConfig::fast_test(), options).expect("fit");
+        let mut bytes = Vec::new();
+        model
+            .write_to(&mut bytes)
+            .expect("serializing to memory cannot fail");
+        h = fnv(h, &bytes);
+        let mut curves = vec![
+            &report.ae_curve,
+            &report.ae_val_curve,
+            &report.forward_kld_curve,
+            &report.backward_kld_curve,
+            &report.forward_val_kld_curve,
+            &report.backward_val_kld_curve,
+        ];
+        if with_mlp {
+            curves.push(&report.mlp_curve);
+        }
+        for curve in curves {
+            h = floats(h, curve);
+        }
+        for blocks in 3..=7 {
+            let (day, _) = synthetic_day(blocks, 9 + blocks as u64);
+            let d = model.detect(&day, &db).expect("detectable day");
+            h = floats(h, &d.probabilities);
+            h = fnv(h, &(d.detected.start_sp as u64).to_le_bytes());
+            h = fnv(h, &(d.detected.end_sp as u64).to_le_bytes());
+        }
+    }
+    h
 }
 
 /// Cross-commit golden pin. Every other test here compares runs of one
@@ -306,45 +354,31 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 /// audit the change, do not just update the constant.
 #[test]
 fn fitted_models_and_detections_match_the_golden_hash() {
-    let (train, val) = train_val_sets();
-    let db = poi_db();
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    let floats = |h: u64, xs: &[f32]| {
-        let h = fnv(h, &(xs.len() as u64).to_le_bytes());
-        xs.iter().fold(h, |h, x| fnv(h, &x.to_bits().to_le_bytes()))
-    };
-    for options in [
+    let variants = [
         LeadOptions::full(),
         LeadOptions::no_sel(),
         LeadOptions::no_hie(),
-    ] {
-        let (model, report) =
-            Lead::fit_with_val(&train, &val, &db, &LeadConfig::fast_test(), options).expect("fit");
-        let mut bytes = Vec::new();
-        model
-            .write_to(&mut bytes)
-            .expect("serializing to memory cannot fail");
-        h = fnv(h, &bytes);
-        for curve in [
-            &report.ae_curve,
-            &report.ae_val_curve,
-            &report.forward_kld_curve,
-            &report.backward_kld_curve,
-            &report.forward_val_kld_curve,
-            &report.backward_val_kld_curve,
-        ] {
-            h = floats(h, curve);
-        }
-        for blocks in 3..=7 {
-            let (day, _) = synthetic_day(blocks, 9 + blocks as u64);
-            let d = model.detect(&day, &db).expect("detectable day");
-            h = floats(h, &d.probabilities);
-            h = fnv(h, &(d.detected.start_sp as u64).to_le_bytes());
-            h = fnv(h, &(d.detected.end_sp as u64).to_le_bytes());
-        }
-    }
+    ];
+    let h = golden_hash(&variants, false);
     assert_eq!(
         h, GOLDEN,
         "golden drift: got {h:#018x}, pinned {GOLDEN:#018x}"
+    );
+}
+
+/// The same cross-commit pin for the variants that train one group
+/// detector or none: `LEAD-NoGro` (the per-candidate MLP), `LEAD-NoFor`
+/// (backward only) and `LEAD-NoBac` (forward only).
+#[test]
+fn single_detector_variants_match_the_golden_hash() {
+    let variants = [
+        LeadOptions::no_gro(),
+        LeadOptions::no_for(),
+        LeadOptions::no_bac(),
+    ];
+    let h = golden_hash(&variants, true);
+    assert_eq!(
+        h, GOLDEN_SINGLE_DETECTOR,
+        "golden drift: got {h:#018x}, pinned {GOLDEN_SINGLE_DETECTOR:#018x}"
     );
 }

@@ -12,13 +12,14 @@
 //! - [`init`] — Xavier/uniform initialisation;
 //! - [`layers`] — `Linear`, `Lstm`, `Gru`, `BiLstm`, `StackedBiLstm`,
 //!   `SelfAttention`, mirroring the operators of the paper;
-//! - [`optim`] — Adam(W) (the paper's optimiser) and SGD;
+//! - [`optim`] — Adam(W), the paper's optimiser;
 //! - [`io`] — lossless text serialisation of trained parameters;
 //! - [`par`] — scoped-thread data-parallel map with a determinism contract;
 //! - [`simd`] — runtime-dispatched SIMD kernels (the workspace's only
 //!   sanctioned-unsafe module) with a bit-identity contract against a safe
 //!   scalar reference;
-//! - [`train`] — batch-accumulation loop helpers and early stopping;
+//! - [`train`] — the one training loop ([`train::fit`]): batch
+//!   accumulation, per-epoch shuffling and early stopping;
 //! - [`testing`] — finite-difference gradient checking.
 //!
 //! ```

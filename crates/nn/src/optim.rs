@@ -1,9 +1,8 @@
-//! Optimisers: Adam (the paper's choice, learning rate 1e-4) and plain SGD.
+//! The optimiser: Adam(W), the paper's choice (learning rate 1e-4).
 //!
-//! Both update loops run on the dispatched SIMD kernels: Adam through the
-//! fused [`Kernel::adam_update`] (one call per parameter buffer), SGD through
-//! `axpy` via `Matrix::add_scaled_assign` — so optimiser steps are
-//! bit-identical across backends like the rest of the hot paths.
+//! The update loop runs on the dispatched SIMD kernels through the fused
+//! [`Kernel::adam_update`] (one call per parameter buffer), so optimiser
+//! steps are bit-identical across backends like the rest of the hot paths.
 
 use crate::matrix::Matrix;
 use crate::params::{Gradients, ParamSet};
@@ -55,17 +54,6 @@ impl Adam {
         self
     }
 
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Overrides the learning rate (scheduled learning rates).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
@@ -107,28 +95,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent, used in tests as a known-simple
-/// reference optimiser.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self { lr }
-    }
-
-    /// Applies `p -= lr · g` to every parameter.
-    pub fn step(&self, params: &mut ParamSet, grads: &Gradients) {
-        for (id, g) in grads.iter() {
-            params.value_mut(id).add_scaled_assign(g, -self.lr);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,13 +114,6 @@ mod tests {
         }
         let d = ps.value(w).sub(&target);
         d.frobenius_norm()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let opt = Sgd::new(0.1);
-        let dist = quadratic_descent(|ps, gr| opt.step(ps, gr));
-        assert!(dist < 1e-3, "distance {dist}");
     }
 
     #[test]
@@ -197,22 +156,6 @@ mod tests {
         let mut ps_decay = ps.clone();
         decayed.step(&mut ps_decay, &grads);
         assert!((ps_decay.value(w).at(0, 0) - 0.99).abs() < 1e-6);
-    }
-
-    #[test]
-    fn exploding_gradients_are_survivable_with_clipping() {
-        use crate::train::AccumTrainer;
-        let mut ps = ParamSet::new();
-        let w = ps.register("w", Matrix::from_vec(1, 2, vec![0.1, -0.1]));
-        let mut tr = AccumTrainer::new(Adam::new(&ps, 0.01), 1).with_clip_norm(1.0);
-        for _ in 0..5 {
-            let mut g = ps.zero_gradients();
-            g.get_mut(w).data_mut().copy_from_slice(&[1e20, -1e20]);
-            tr.submit(&mut ps, g);
-        }
-        assert!(ps.value(w).data().iter().all(|v| v.is_finite()));
-        // Clipped steps are bounded: 5 steps of ≤ lr each.
-        assert!(ps.value(w).frobenius_norm() < 1.0);
     }
 
     #[test]

@@ -1,26 +1,181 @@
-//! Training-loop helpers: gradient accumulation over consecutive samples and
+//! The training loop every model shares, and its parts: gradient
+//! accumulation over consecutive samples, the per-epoch visit order and
 //! early stopping.
 //!
 //! The paper trains with batch size 1 (inputs have variable shapes) but
 //! back-propagates the *average* loss of `B = 64` consecutive samples as one
-//! optimiser step. [`AccumTrainer`] reproduces that exactly: submit one
+//! optimiser step. `AccumTrainer` reproduces that exactly: submit one
 //! gradient per sample; every `B` submissions the mean gradient (optionally
 //! clipped) is applied. Every float loop in the accumulate → average → clip →
 //! step pipeline runs on the dispatched SIMD kernels (`axpy`, `scale`, `dot`,
 //! `adam_update`), so training is bit-identical across backends.
+//!
+//! [`fit`] is the one epoch loop: every trained model (autoencoder,
+//! detectors, MLP, SP-RNN baselines) hands it a [`Recipe`], its items and a
+//! per-item loss, and [`mean_loss`] is the one validation pass.
 
 use crate::optim::Adam;
 use crate::params::{Gradients, ParamSet};
+use crate::tape::{Graph, Var};
 use lead_obs::probe::{Probe, NOOP};
+use std::borrow::Borrow;
+
+/// The least loss improvement that resets the early-stopping patience.
+const MIN_DELTA: f32 = 1e-4;
+
+/// The hyper-parameters of one [`fit`] run: Adam(W) over accumulated
+/// batches, global-norm clipping and early stopping.
+#[derive(Clone, Copy)]
+pub struct Recipe<'p> {
+    /// Adam's learning rate.
+    pub learning_rate: f32,
+    /// Decoupled (AdamW) weight decay; 0 is plain Adam.
+    pub weight_decay: f32,
+    /// Samples per optimiser step (the accumulation window).
+    pub batch: usize,
+    /// Global gradient-norm clip applied before each step.
+    pub clip_norm: f32,
+    /// Epochs without a training-loss gain of at least `1e-4` before
+    /// training stops.
+    pub patience: usize,
+    /// Upper bound on the number of epochs.
+    pub max_epochs: usize,
+    /// Worker threads per window (0 = all cores); results do not depend
+    /// on it.
+    pub num_threads: usize,
+    /// Receives the epoch spans, epoch losses and the trainer's metrics.
+    pub probe: &'p dyn Probe,
+    /// Metric-name prefix (`ae`, `det.fwd`, …).
+    pub scope: &'p str,
+    /// Loss name in the epoch metrics (`mse`, `kld`, `bce`).
+    pub loss: &'p str,
+}
+
+/// Trains `params` on `items` for up to `recipe.max_epochs` epochs and
+/// returns `(train_curve, val_curve)`: the mean training loss of every
+/// epoch and, when `val_items` is non-empty, the mean validation loss
+/// ([`mean_loss`]) after every epoch.
+///
+/// Each epoch reshuffles the visit order (`EpochPlan`), then runs every
+/// window of `recipe.batch` items through `AccumTrainer::submit_window`
+/// and flushes the last partial batch. Before a window runs, `prepare` maps
+/// its items one by one, in visit order, on the calling thread, so an
+/// augmentation drawing from `rng` sees the same stream at any thread
+/// count; a model without augmentation passes the item through. `loss`
+/// records one item's loss on a fresh graph; it also scores `val_items`,
+/// unprepared. Early stopping watches the training loss; the validation
+/// curve is for reporting only, and no weights are restored.
+///
+/// With a recording probe, every epoch emits a `{scope}.epoch` span and
+/// `{scope}.epoch_{loss}` / `{scope}.epoch_val_{loss}` observations, and
+/// every optimiser step `{scope}.grad_norm` / `{scope}.optim_steps`. Metrics
+/// are write-only: the trained bytes are the same for any probe.
+///
+/// # Panics
+/// Panics if `items` is empty, or on a zero `batch`, `patience` or
+/// non-positive `learning_rate` / `clip_norm`.
+pub fn fit<'a, T, P, R, F>(
+    params: &mut ParamSet,
+    recipe: &Recipe<'_>,
+    items: &'a [T],
+    val_items: &[T],
+    rng: &mut R,
+    mut prepare: impl FnMut(&'a T, &mut R) -> P,
+    loss: F,
+) -> (Vec<f32>, Vec<f32>)
+where
+    T: Sync,
+    P: Borrow<T> + Sync,
+    R: rand::RngCore + ?Sized,
+    F: Fn(&T, &mut Graph<'_>) -> Var + Sync,
+{
+    assert!(!items.is_empty(), "training needs samples");
+    let Recipe { probe, scope, .. } = *recipe;
+    // Metric names are scope-prefixed; build them once, and only when a
+    // probe records them.
+    let names = probe.enabled().then(|| {
+        let l = recipe.loss;
+        [
+            format!("{scope}.epoch"),
+            format!("{scope}.epoch_{l}"),
+            format!("{scope}.epoch_val_{l}"),
+        ]
+    });
+    let mut trainer = AccumTrainer::new(
+        Adam::new(params, recipe.learning_rate).with_weight_decay(recipe.weight_decay),
+        recipe.batch,
+    )
+    .with_clip_norm(recipe.clip_norm)
+    .with_probe(probe, scope);
+    let mut stopper = EarlyStopping::new(recipe.patience, MIN_DELTA);
+    let mut plan = EpochPlan::new(items.len());
+    let mut train_curve = Vec::new();
+    let mut val_curve = Vec::new();
+    for _epoch in 0..recipe.max_epochs {
+        let _epoch_span = names
+            .as_ref()
+            .map(|[epoch, ..]| lead_obs::clock::span(probe, epoch));
+        plan.reshuffle(rng);
+        let mut total = 0.0f64;
+        for window in plan.windows(recipe.batch) {
+            let prepared: Vec<P> = window.iter().map(|&i| prepare(&items[i], rng)).collect();
+            let losses =
+                trainer.submit_window(params, recipe.num_threads, &prepared, |_, item, ps| {
+                    let mut g = Graph::new(ps);
+                    let l = loss(item.borrow(), &mut g);
+                    (g.scalar(l), g.backward(l))
+                });
+            total = losses.into_iter().fold(total, |t, l| t + f64::from(l));
+        }
+        trainer.flush(params);
+        let train_mean = crate::num::narrow_f64(total / items.len() as f64);
+        train_curve.push(train_mean);
+        if let Some([_, epoch_loss, _]) = &names {
+            probe.observe(epoch_loss, f64::from(train_mean));
+        }
+        if !val_items.is_empty() {
+            let val_mean = mean_loss(params, val_items, recipe.num_threads, &loss);
+            val_curve.push(val_mean);
+            if let Some([_, _, epoch_val_loss]) = &names {
+                probe.observe(epoch_val_loss, f64::from(val_mean));
+            }
+        }
+        if stopper.observe(train_mean) {
+            break;
+        }
+    }
+    (train_curve, val_curve)
+}
+
+/// The mean of `loss` over `items` at `params`, without training. Items
+/// are scored on `num_threads` workers (0 = all cores) and summed in item
+/// order, so the result is bit-identical for every thread count.
+///
+/// # Panics
+/// Panics if `items` is empty.
+pub fn mean_loss<T, F>(params: &ParamSet, items: &[T], num_threads: usize, loss: F) -> f32
+where
+    T: Sync,
+    F: Fn(&T, &mut Graph<'_>) -> Var + Sync,
+{
+    assert!(!items.is_empty(), "evaluation needs samples");
+    let per_item = crate::par::par_map(num_threads, items, |_, item| {
+        let mut g = Graph::new(params);
+        let l = loss(item, &mut g);
+        g.scalar(l)
+    });
+    let total: f64 = per_item.into_iter().map(f64::from).sum();
+    crate::num::narrow_f64(total / items.len() as f64)
+}
 
 /// Accumulates per-sample gradients and steps the optimiser every
 /// `batch` submissions with the batch-mean gradient.
 ///
-/// An optional [`Probe`] (see [`AccumTrainer::with_probe`]) receives the
+/// An optional [`Probe`] (see `AccumTrainer::with_probe`) receives the
 /// pre-clip gradient norm and an optimiser-step counter on every applied
 /// batch. Metric values are write-only: training is bit-identical with and
 /// without a recording probe attached.
-pub struct AccumTrainer<'p> {
+struct AccumTrainer<'p> {
     opt: Adam,
     batch: usize,
     clip_norm: Option<f32>,
@@ -30,24 +185,12 @@ pub struct AccumTrainer<'p> {
     scope: String,
 }
 
-impl std::fmt::Debug for AccumTrainer<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AccumTrainer")
-            .field("opt", &self.opt)
-            .field("batch", &self.batch)
-            .field("clip_norm", &self.clip_norm)
-            .field("pending", &self.pending)
-            .field("scope", &self.scope)
-            .finish_non_exhaustive()
-    }
-}
-
 impl AccumTrainer<'static> {
     /// Creates a trainer stepping every `batch` samples (unprobed).
     ///
     /// # Panics
     /// Panics if `batch == 0`.
-    pub fn new(opt: Adam, batch: usize) -> Self {
+    fn new(opt: Adam, batch: usize) -> Self {
         assert!(batch > 0, "batch must be positive");
         Self {
             opt,
@@ -63,7 +206,7 @@ impl AccumTrainer<'static> {
 
 impl<'p> AccumTrainer<'p> {
     /// Enables global-norm gradient clipping at `max_norm` before each step.
-    pub fn with_clip_norm(mut self, max_norm: f32) -> Self {
+    fn with_clip_norm(mut self, max_norm: f32) -> Self {
         assert!(max_norm > 0.0, "clip norm must be positive");
         self.clip_norm = Some(max_norm);
         self
@@ -72,7 +215,7 @@ impl<'p> AccumTrainer<'p> {
     /// Attaches an observability probe. Each applied batch emits the
     /// pre-clip gradient norm as `<scope>.grad_norm` and bumps
     /// `<scope>.optim_steps`.
-    pub fn with_probe<'q>(self, probe: &'q dyn Probe, scope: &str) -> AccumTrainer<'q> {
+    fn with_probe<'q>(self, probe: &'q dyn Probe, scope: &str) -> AccumTrainer<'q> {
         AccumTrainer {
             opt: self.opt,
             batch: self.batch,
@@ -84,14 +227,9 @@ impl<'p> AccumTrainer<'p> {
         }
     }
 
-    /// Number of optimiser steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.opt.steps()
-    }
-
     /// Submits one sample's gradients; steps the optimiser when the batch
     /// fills.
-    pub fn submit(&mut self, params: &mut ParamSet, grads: Gradients) {
+    fn submit(&mut self, params: &mut ParamSet, grads: Gradients) {
         match &mut self.acc {
             Some(acc) => acc.accumulate(&grads),
             None => self.acc = Some(grads),
@@ -113,7 +251,7 @@ impl<'p> AccumTrainer<'p> {
     /// Callers who want parity with a plain per-sample `submit` loop should
     /// pass windows of at most `batch` items so optimiser steps land on the
     /// same sample boundaries.
-    pub fn submit_window<T, F>(
+    fn submit_window<T, F>(
         &mut self,
         params: &mut ParamSet,
         num_threads: usize,
@@ -135,7 +273,7 @@ impl<'p> AccumTrainer<'p> {
     }
 
     /// Applies any partially filled batch (end of epoch).
-    pub fn flush(&mut self, params: &mut ParamSet) {
+    fn flush(&mut self, params: &mut ParamSet) {
         if self.pending > 0 {
             self.apply(params);
         }
@@ -174,21 +312,19 @@ impl<'p> AccumTrainer<'p> {
 /// The per-epoch visit order of a training set: a persistent permutation
 /// that is reshuffled in place at the top of every epoch.
 ///
-/// Persistence is part of the determinism contract. The training loops
-/// shuffle the *previous* epoch's order rather than a fresh identity
-/// permutation; rebuilding from identity each epoch would consume the same
-/// RNG draws but visit samples in a different sequence, changing gradient
-/// order and breaking bit-for-bit reproducibility with the historical
-/// loops. `EpochPlan` encapsulates that invariant so every loop (and any
-/// future streaming consumer) shares one implementation.
+/// Persistence is part of the determinism contract. [`fit`] shuffles the
+/// *previous* epoch's order rather than a fresh identity permutation;
+/// rebuilding from identity each epoch would consume the same RNG draws but
+/// visit samples in a different sequence, changing gradient order and
+/// breaking bit-for-bit reproducibility with the historical loops.
 #[derive(Debug, Clone)]
-pub struct EpochPlan {
+struct EpochPlan {
     order: Vec<usize>,
 }
 
 impl EpochPlan {
     /// A plan over `len` samples, starting as the identity permutation.
-    pub fn new(len: usize) -> Self {
+    fn new(len: usize) -> Self {
         Self {
             order: (0..len).collect(),
         }
@@ -196,82 +332,50 @@ impl EpochPlan {
 
     /// Reshuffles the current order in place (Fisher–Yates, one draw per
     /// element past the first — identical RNG consumption for any content).
-    pub fn reshuffle<R: rand::RngCore + ?Sized>(&mut self, rng: &mut R) {
+    fn reshuffle<R: rand::RngCore + ?Sized>(&mut self, rng: &mut R) {
         use rand::seq::SliceRandom;
         self.order.shuffle(rng);
     }
 
-    /// The current visit order.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
     /// The current order split into accumulation windows of at most
     /// `batch` samples (the last may be shorter).
-    pub fn windows(&self, batch: usize) -> std::slice::Chunks<'_, usize> {
+    fn windows(&self, batch: usize) -> std::slice::Chunks<'_, usize> {
         self.order.chunks(batch)
-    }
-
-    /// Number of samples the plan covers.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the plan covers no samples.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
     }
 }
 
-/// Early stopping on a validation (or training) loss (Caruana et al. 2000),
-/// the paper's overfitting guard.
+/// Early stopping on a loss (Caruana et al. 2000), the paper's overfitting
+/// guard. [`fit`] feeds it the training loss.
 #[derive(Debug, Clone)]
-pub struct EarlyStopping {
+struct EarlyStopping {
     patience: usize,
     min_delta: f32,
     best: f32,
-    best_epoch: usize,
-    epochs_seen: usize,
     bad_streak: usize,
 }
 
 impl EarlyStopping {
     /// Stops after `patience` consecutive epochs without improving the best
     /// loss by at least `min_delta`.
-    pub fn new(patience: usize, min_delta: f32) -> Self {
+    fn new(patience: usize, min_delta: f32) -> Self {
         assert!(patience > 0, "patience must be positive");
         Self {
             patience,
             min_delta,
             best: f32::INFINITY,
-            best_epoch: 0,
-            epochs_seen: 0,
             bad_streak: 0,
         }
     }
 
     /// Records one epoch's loss; returns `true` when training should stop.
-    pub fn observe(&mut self, loss: f32) -> bool {
-        self.epochs_seen += 1;
+    fn observe(&mut self, loss: f32) -> bool {
         if loss < self.best - self.min_delta {
             self.best = loss;
-            self.best_epoch = self.epochs_seen;
             self.bad_streak = 0;
         } else {
             self.bad_streak += 1;
         }
         self.bad_streak >= self.patience
-    }
-
-    /// The best loss observed.
-    pub fn best(&self) -> f32 {
-        self.best
-    }
-
-    /// The 1-based epoch at which the best loss was observed (0 before any
-    /// observation).
-    pub fn best_epoch(&self) -> usize {
-        self.best_epoch
     }
 }
 
@@ -291,7 +395,7 @@ mod tests {
             g.get_mut(w).data_mut()[0] = 1.0;
             tr.submit(&mut ps, g);
             let expect = (i + 1) / 4;
-            assert_eq!(tr.steps(), expect as u64, "after sample {i}");
+            assert_eq!(tr.opt.steps(), expect as u64, "after sample {i}");
         }
     }
 
@@ -303,11 +407,11 @@ mod tests {
         let mut g = ps.zero_gradients();
         g.get_mut(w).data_mut()[0] = 1.0;
         tr.submit(&mut ps, g);
-        assert_eq!(tr.steps(), 0);
+        assert_eq!(tr.opt.steps(), 0);
         tr.flush(&mut ps);
-        assert_eq!(tr.steps(), 1);
+        assert_eq!(tr.opt.steps(), 1);
         tr.flush(&mut ps); // idempotent when nothing pending
-        assert_eq!(tr.steps(), 1);
+        assert_eq!(tr.opt.steps(), 1);
     }
 
     #[test]
@@ -357,80 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_window_matches_per_sample_submit_bitwise() {
-        let targets: Vec<Matrix> = (0..10)
-            .map(|i| Matrix::from_vec(1, 2, vec![i as f32 * 0.1, 1.0 - i as f32 * 0.05]))
-            .collect();
-        let run = |threads: usize, windowed: bool| -> (Vec<u32>, Vec<f32>) {
-            let mut ps = ParamSet::new();
-            let w = ps.register("w", Matrix::from_vec(1, 2, vec![0.7, -0.4]));
-            let mut tr = AccumTrainer::new(Adam::new(&ps, 0.05), 4).with_clip_norm(5.0);
-            let item_pass = |_: usize, target: &Matrix, ps: &ParamSet| {
-                let mut g = Graph::new(ps);
-                let wv = g.param(w);
-                let l = g.mse_loss(wv, target);
-                let loss = g.scalar(l);
-                (loss, g.backward(l))
-            };
-            let mut losses = Vec::new();
-            for _ in 0..3 {
-                if windowed {
-                    for chunk in targets.chunks(4) {
-                        losses.extend(tr.submit_window(&mut ps, threads, chunk, item_pass));
-                    }
-                } else {
-                    for (i, t) in targets.iter().enumerate() {
-                        let (loss, grads) = item_pass(i, t, &ps);
-                        losses.push(loss);
-                        tr.submit(&mut ps, grads);
-                    }
-                }
-                tr.flush(&mut ps);
-            }
-            let bits = ps.value(w).data().iter().map(|v| v.to_bits()).collect();
-            (bits, losses)
-        };
-        let reference = run(1, false);
-        for threads in [1, 2, 4] {
-            assert_eq!(run(threads, true), reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn probed_training_is_bit_identical_and_records_norms() {
-        use lead_obs::Recorder;
-        let targets: Vec<Matrix> = (0..6)
-            .map(|i| Matrix::from_vec(1, 2, vec![i as f32 * 0.2, -0.3]))
-            .collect();
-        let run = |probe: Option<&Recorder>| -> Vec<u32> {
-            let mut ps = ParamSet::new();
-            let w = ps.register("w", Matrix::from_vec(1, 2, vec![0.7, -0.4]));
-            let tr = AccumTrainer::new(Adam::new(&ps, 0.05), 2).with_clip_norm(5.0);
-            let mut tr = match probe {
-                Some(p) => tr.with_probe(p, "t"),
-                None => tr,
-            };
-            for target in &targets {
-                let mut g = Graph::new(&ps);
-                let wv = g.param(w);
-                let l = g.mse_loss(wv, target);
-                let grads = g.backward(l);
-                tr.submit(&mut ps, grads);
-            }
-            tr.flush(&mut ps);
-            ps.value(w).data().iter().map(|v| v.to_bits()).collect()
-        };
-        let rec = Recorder::new();
-        assert_eq!(run(None), run(Some(&rec)), "probe changed the arithmetic");
-        assert_eq!(rec.counter("t.optim_steps"), Some(3));
-        let snap = rec.snapshot();
-        let (name, norms) = &snap.histograms[0];
-        assert_eq!(name, "t.grad_norm");
-        assert_eq!(norms.count, 3);
-        assert!(norms.min >= 0.0);
-    }
-
-    #[test]
     fn early_stopping_triggers_after_patience() {
         let mut es = EarlyStopping::new(3, 0.0);
         assert!(!es.observe(1.0));
@@ -438,8 +468,6 @@ mod tests {
         assert!(!es.observe(0.6));
         assert!(!es.observe(0.7));
         assert!(es.observe(0.8)); // third bad epoch
-        assert_eq!(es.best(), 0.5);
-        assert_eq!(es.best_epoch(), 2);
     }
 
     #[test]
@@ -463,17 +491,171 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(17);
         let mut order: Vec<usize> = (0..23).collect();
         let mut plan = EpochPlan::new(23);
-        assert_eq!(plan.order(), order.as_slice());
         for _ in 0..5 {
             order.shuffle(&mut rng_a);
             plan.reshuffle(&mut rng_b);
-            assert_eq!(plan.order(), order.as_slice());
             let chunked: Vec<&[usize]> = order.chunks(4).collect();
             let windows: Vec<&[usize]> = plan.windows(4).collect();
             assert_eq!(windows, chunked);
         }
-        assert_eq!(plan.len(), 23);
-        assert!(!plan.is_empty());
-        assert!(EpochPlan::new(0).is_empty());
+    }
+
+    fn targets() -> Vec<Matrix> {
+        (0..10)
+            .map(|i| Matrix::from_vec(1, 2, vec![i as f32 * 0.1, 1.0 - i as f32 * 0.05]))
+            .collect()
+    }
+
+    fn fresh_params() -> (ParamSet, crate::params::ParamId) {
+        let mut ps = ParamSet::new();
+        let w = ps.register("w", Matrix::from_vec(1, 2, vec![0.7, -0.4]));
+        (ps, w)
+    }
+
+    fn bits(ps: &ParamSet) -> Vec<u32> {
+        ps.iter()
+            .flat_map(|(_, m)| m.data().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn recipe(num_threads: usize, probe: &dyn Probe) -> Recipe<'_> {
+        Recipe {
+            learning_rate: 0.05,
+            weight_decay: 0.0,
+            batch: 4,
+            clip_norm: 5.0,
+            patience: 2,
+            max_epochs: 300,
+            num_threads,
+            probe,
+            scope: "t",
+            loss: "mse",
+        }
+    }
+
+    #[test]
+    fn fit_matches_the_per_sample_loop_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        let targets = targets();
+        let jitter = |t: &Matrix, rng: &mut StdRng| {
+            Matrix::from_fn(1, 2, |_, c| t.at(0, c) + rng.gen_range(-0.05..0.05))
+        };
+        let item_loss = |ps: &ParamSet, w, t: &Matrix| {
+            let mut g = Graph::new(ps);
+            let wv = g.param(w);
+            let l = g.mse_loss(wv, t);
+            (g.scalar(l), g.backward(l))
+        };
+        // The loop the models ran before `fit`: one persistent order
+        // shuffled in place, each item jittered just before its pass, one
+        // gradient per item submitted in visit order, then a serial
+        // validation pass over the unjittered items.
+        let (mut ps, w) = fresh_params();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut tr = AccumTrainer::new(Adam::new(&ps, 0.05), 4).with_clip_norm(5.0);
+        let mut stopper = EarlyStopping::new(2, MIN_DELTA);
+        let mut order: Vec<usize> = (0..targets.len()).collect();
+        let (mut curve, mut val_curve) = (Vec::new(), Vec::new());
+        let mean = |total: f64| crate::num::narrow_f64(total / targets.len() as f64);
+        for _ in 0..300 {
+            order.shuffle(&mut rng);
+            let mut total = 0.0f64;
+            for &i in &order {
+                let (loss, grads) = item_loss(&ps, w, &jitter(&targets[i], &mut rng));
+                total += f64::from(loss);
+                tr.submit(&mut ps, grads);
+            }
+            tr.flush(&mut ps);
+            curve.push(mean(total));
+            let val = targets.iter().map(|t| f64::from(item_loss(&ps, w, t).0));
+            val_curve.push(mean(val.sum()));
+            if stopper.observe(mean(total)) {
+                break;
+            }
+        }
+        assert!(curve.len() < 300, "early stopping never fired");
+        let reference = (bits(&ps), curve, val_curve);
+
+        for threads in [1, 2, 4] {
+            let (mut ps, w) = fresh_params();
+            let mut rng = StdRng::seed_from_u64(3);
+            let (curve, val_curve) = fit(
+                &mut ps,
+                &recipe(threads, &NOOP),
+                &targets,
+                &targets,
+                &mut rng,
+                jitter,
+                |t, g| {
+                    let wv = g.param(w);
+                    g.mse_loss(wv, t)
+                },
+            );
+            assert_eq!(
+                (bits(&ps), curve, val_curve),
+                reference,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn fit_emits_scoped_metrics_without_changing_the_result() {
+        use lead_obs::Recorder;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let targets = targets();
+        let run = |probe: &dyn Probe| {
+            let (mut ps, w) = fresh_params();
+            let mut rng = StdRng::seed_from_u64(5);
+            let recipe = Recipe {
+                max_epochs: 3,
+                ..recipe(1, probe)
+            };
+            let curves = fit(
+                &mut ps,
+                &recipe,
+                &targets,
+                &targets[..3],
+                &mut rng,
+                |t, _| t,
+                |t, g| {
+                    let wv = g.param(w);
+                    g.mse_loss(wv, t)
+                },
+            );
+            (bits(&ps), curves)
+        };
+        let rec = Recorder::new();
+        assert_eq!(run(&rec), run(&NOOP), "probe changed the arithmetic");
+        let snap = rec.snapshot();
+        let count = |set: &[(String, lead_obs::Summary)], name: &str| {
+            set.iter().find(|(n, _)| n == name).map(|(_, s)| s.count)
+        };
+        assert_eq!(count(&snap.spans, "t.epoch"), Some(3));
+        assert_eq!(count(&snap.histograms, "t.epoch_mse"), Some(3));
+        assert_eq!(count(&snap.histograms, "t.epoch_val_mse"), Some(3));
+        // Three optimiser steps per epoch: windows of 4, 4 and 2 items.
+        assert_eq!(count(&snap.histograms, "t.grad_norm"), Some(9));
+        assert_eq!(rec.counter("t.optim_steps"), Some(9));
+    }
+
+    #[test]
+    fn exploding_gradients_are_survivable_with_clipping() {
+        let mut ps = ParamSet::new();
+        let w = ps.register("w", Matrix::from_vec(1, 2, vec![0.1, -0.1]));
+        let mut tr = AccumTrainer::new(Adam::new(&ps, 0.01), 1).with_clip_norm(1.0);
+        for _ in 0..5 {
+            let mut g = ps.zero_gradients();
+            g.get_mut(w).data_mut().copy_from_slice(&[1e20, -1e20]);
+            tr.submit(&mut ps, g);
+        }
+        assert!(ps.value(w).data().iter().all(|v| v.is_finite()));
+        // Clipped steps are bounded: 5 steps of ≤ lr each.
+        assert!(ps.value(w).frobenius_norm() < 1.0);
     }
 }

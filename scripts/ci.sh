@@ -38,6 +38,11 @@ LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test stream_detect_parity
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test parallel_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test parallel_parity
 
+# The SP-LSTM/SP-GRU baselines train through the same epoch loop; their
+# golden pins trained parameters and curves, on the scalar backend too.
+echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-baselines fitted_parameters_match_the_golden_hash"
+LEAD_SIMD_FORCE=scalar cargo test -q -p lead-baselines fitted_parameters_match_the_golden_hash
+
 # Planted-divergence self-test: the parity battery must actually catch a
 # kernel whose rounding differs (an FMA'd dot). If this test vanishes or
 # stops detecting the fixture, the whole parity gate is decorative.
